@@ -11,8 +11,8 @@ from .simulator import GameState, SimulationResult, simulate
 from .bounds import (algorithmic_lower_bound, compute_footprint,
                      io_breakdown_lower_bound, min_feasible_budget,
                      require_feasible, schedule_exists)
-from .weights import (DEFAULT_WORD_BITS, PAPER_CONFIGS, WeightConfig, custom,
-                      double_accumulator, equal)
+from .weights import (DEFAULT_WORD_BITS, PAPER_CONFIGS, WeightConfig,
+                      class_weights, custom, double_accumulator, equal)
 from .composition import (namespaced_union, relabel_schedule,
                           schedule_components, stitch)
 from .passes import (compact, drop_dead_pairs, drop_redundant_loads,
@@ -37,8 +37,8 @@ __all__ = [
     "Schedule", "concatenate", "GameState", "SimulationResult", "simulate",
     "algorithmic_lower_bound", "compute_footprint", "io_breakdown_lower_bound",
     "min_feasible_budget", "require_feasible", "schedule_exists",
-    "DEFAULT_WORD_BITS", "PAPER_CONFIGS", "WeightConfig", "custom",
-    "double_accumulator", "equal",
+    "DEFAULT_WORD_BITS", "PAPER_CONFIGS", "WeightConfig", "class_weights",
+    "custom", "double_accumulator", "equal",
     "namespaced_union", "relabel_schedule", "schedule_components", "stitch",
     "compact", "drop_dead_pairs", "drop_redundant_loads",
     "drop_redundant_stores", "peak_profile",

@@ -18,11 +18,13 @@ permitted so bounds and memory-state replays stay well-defined on them.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Iterator, Mapping, Sequence, Tuple
-
-import networkx as nx
+from typing import (TYPE_CHECKING, Dict, Hashable, Iterable, Iterator,
+                    Mapping, Sequence, Tuple)
 
 from .exceptions import GraphStructureError
+
+if TYPE_CHECKING:  # networkx loads only when a graph is converted
+    import networkx as nx
 
 Node = Hashable
 
@@ -132,6 +134,7 @@ class CDAG:
 
     def to_networkx(self) -> nx.DiGraph:
         """Export to a :class:`networkx.DiGraph` (weights as node attrs)."""
+        import networkx as nx
         g = nx.DiGraph(name=self.name)
         for v, w in self._weights.items():
             g.add_node(v, weight=w)

@@ -16,7 +16,7 @@ costs, and memory sizes line up with the paper's "bits transferred" and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Mapping
+from typing import Callable, Dict, Optional, Tuple
 
 from .cdag import CDAG, Node
 
@@ -69,6 +69,20 @@ def double_accumulator(word_bits: int = DEFAULT_WORD_BITS) -> WeightConfig:
     non-inputs (partials / accumulators) weigh two."""
     return WeightConfig("Double Accumulator", input_bits=word_bits,
                         compute_bits=2 * word_bits)
+
+
+def class_weights(cdag: CDAG) -> Optional[Tuple[int, int]]:
+    """The ``(input_bits, compute_bits)`` pair :meth:`WeightConfig.apply`
+    would have given ``cdag``: the common weight of its sources and the
+    common weight of its other nodes.  ``None`` when either class is
+    empty or not uniform, i.e. when no :class:`WeightConfig` produces
+    these weights."""
+    inputs, computed = set(), set()
+    for v, w in cdag.weights.items():
+        (computed if cdag.predecessors(v) else inputs).add(w)
+    if len(inputs) != 1 or len(computed) != 1:
+        return None
+    return inputs.pop(), computed.pop()
 
 
 def custom(name: str, fn: Callable[[CDAG, Node], int]):

@@ -9,9 +9,13 @@ Four panels:
 
 Every point is a real scheduler run (DWT/LBL) or the strategy's closed
 form (tiling/IOOpt; both cross-checked against full schedule simulation in
-the test suite).  The paper's headline shape: both of our methods dominate
-their baselines at every budget and converge to the lower bound at far
-smaller memories.
+the test suite).  The paper's headline shape: both of our methods converge
+to the lower bound at far smaller memories than their baselines.  The
+DWT optimum is at or below layer-by-layer at every budget.  The tiling is
+below IOOpt's upper bound from 64 bits (Equal) and 192 bits (DA) on.  At
+the smallest grid budget (48 bits Equal, 96 bits DA) it is infeasible
+where IOOpt's bound is finite, and under DA it is above that bound at 128
+and 160 bits.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ from ..analysis.engine import SweepEngine, get_default_engine
 from ..analysis.report import format_table, percent_reduction
 from ..baselines import IOOptModel
 from ..core import double_accumulator, equal
-from ..graphs import dwt_graph, max_level, mvm_graph
+from ..graphs import dwt_graph, max_level
 from ..schedulers import (LayerByLayerScheduler, OptimalDWTScheduler,
                           TilingMVMScheduler)
 from .common import MVM_M, WORD_BITS
@@ -97,15 +97,16 @@ def _mvm_min_memory_curves(da: bool, sizes: Sequence[int],
                            kinds: Sequence[str],
                            engine: Optional[SweepEngine] = None
                            ) -> List[List[int]]:
-    """The Fig. 6 MVM curves over one chunk (closed-form minimums)."""
+    """The Fig. 6 MVM curves over one chunk.  Both minimums are closed
+    forms in the configuration's class weights, so no graph is built."""
     cfg = double_accumulator(WORD_BITS) if da else equal(WORD_BITS)
     out: Dict[str, List[int]] = {k: [] for k in kinds}
     for n in sizes:
         for k in kinds:
             if k == "tiling":
-                g = mvm_graph(MVM_M, n, weights=cfg)
                 out[k].append(TilingMVMScheduler(MVM_M, n)
-                              .min_memory_for_lower_bound(g))
+                              .min_memory_for_weights(cfg.input_bits,
+                                                      cfg.compute_bits))
             else:
                 out[k].append(IOOptModel.for_config(MVM_M, n,
                                                     cfg).min_memory())

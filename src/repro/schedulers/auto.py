@@ -4,7 +4,8 @@
 inspecting the graph:
 
 1. DWT graphs (by name pattern + layer structure) → Algorithm 1.
-2. MVM graphs (by name pattern + structure) → the tiling scheduler.
+2. MVM graphs (by name pattern + structure) with class-uniform weights →
+   the tiling scheduler.
 3. Rooted in-trees with small fan-in → the k-ary DP (optimal).
 4. Everything else → Belady eviction (layer order when the node naming is
    layered, post-order otherwise).
@@ -45,7 +46,9 @@ def auto_scheduler(cdag: CDAG) -> Scheduler:
         return OptimalDWTScheduler()
     mvm = mvm_params(cdag)
     if mvm is not None:
-        return TilingMVMScheduler(*mvm)
+        tiler = TilingMVMScheduler(*mvm)
+        if tiler.accepts(cdag):  # re-weighted MVMs fall through
+            return tiler
     if cdag.num_edges and cdag.is_tree_toward_sink() \
             and cdag.max_in_degree() <= 4:
         # Edge-free graphs are excluded like in families.graph_families:

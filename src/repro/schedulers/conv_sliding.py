@@ -23,6 +23,7 @@ from ..core.cdag import CDAG
 from ..core.exceptions import GraphStructureError, InfeasibleBudgetError
 from ..core.moves import M1, M2, M3, M4, Move
 from ..core.schedule import Schedule
+from ..core.weights import class_weights
 from ..graphs import conv as conv_mod
 from .base import OptimalityContract, Scheduler
 
@@ -38,9 +39,11 @@ class SlidingWindowConvScheduler(Scheduler):
               "fits; budgets below its footprint are declared infeasible")
 
     def accepts(self, cdag: CDAG) -> bool:
-        """Refine the family contract with the instance's shape."""
+        """Refine the family contract with the instance's shape and the
+        class-uniform weights its footprint is written in."""
         from .families import conv_params
-        return conv_params(cdag) == (self.n, self.taps)
+        return (conv_params(cdag) == (self.n, self.taps)
+                and class_weights(cdag) is not None)
 
     def fallback_scheduler(self) -> Scheduler:
         """Degrade to greedy (Prop. 2.3) for guarded probes."""
@@ -54,17 +57,13 @@ class SlidingWindowConvScheduler(Scheduler):
 
     # ------------------------------------------------------------------ #
 
-    def _class_weights(self, cdag: CDAG):
-        w_in = {cdag.weight(v) for v in cdag.sources}
-        w_acc = {cdag.weight(v) for v in cdag if cdag.predecessors(v)}
-        if len(w_in) != 1 or len(w_acc) != 1:
-            raise GraphStructureError(
-                "sliding-window scheduler needs uniform class weights")
-        return w_in.pop(), w_acc.pop()
-
     def peak(self, cdag: CDAG) -> int:
         """Closed-form footprint of the sliding-window schedule."""
-        w_in, w_acc = self._class_weights(cdag)
+        weights = class_weights(cdag)
+        if weights is None:
+            raise GraphStructureError(
+                "sliding-window scheduler needs uniform class weights")
+        w_in, w_acc = weights
         t = self.taps
         if t == 1:
             # tap + sample + product

@@ -27,6 +27,7 @@ from ..core.cdag import CDAG
 from ..core.exceptions import GraphStructureError, InfeasibleBudgetError
 from ..core.moves import M1, M2, M3, M4, Move
 from ..core.schedule import Schedule
+from ..core.weights import class_weights
 from ..graphs import mvm as mvm_mod
 from .base import OptimalityContract, Scheduler
 
@@ -43,9 +44,11 @@ class BandedMVMScheduler(Scheduler):
               "optimality over all budgets is not claimed")
 
     def accepts(self, cdag: CDAG) -> bool:
-        """Refine the family contract with the instance's shape."""
+        """Refine the family contract with the instance's shape and the
+        class-uniform weights its footprint is written in."""
         from .families import banded_mvm_params
-        return banded_mvm_params(cdag) == (self.m, self.n, self.bandwidth)
+        return (banded_mvm_params(cdag) == (self.m, self.n, self.bandwidth)
+                and class_weights(cdag) is not None)
 
     def fallback_scheduler(self) -> Scheduler:
         """Degrade to greedy (Prop. 2.3) for guarded probes."""
@@ -62,17 +65,13 @@ class BandedMVMScheduler(Scheduler):
 
     # ------------------------------------------------------------------ #
 
-    def _class_weights(self, cdag: CDAG):
-        w_in = {cdag.weight(v) for v in cdag.sources}
-        w_acc = {cdag.weight(v) for v in cdag if cdag.predecessors(v)}
-        if len(w_in) != 1 or len(w_acc) != 1:
-            raise GraphStructureError(
-                "banded scheduler needs uniform input and compute weights")
-        return w_in.pop(), w_acc.pop()
-
     def peak(self, cdag: CDAG) -> int:
         """Closed-form peak occupancy of the sliding-window schedule."""
-        w_in, w_acc = self._class_weights(cdag)
+        weights = class_weights(cdag)
+        if weights is None:
+            raise GraphStructureError(
+                "banded scheduler needs uniform input and compute weights")
+        w_in, w_acc = weights
         window = min(2 * self.bandwidth + 1, self.n)
         if self._max_row_len() > 1:
             # running partial + (matrix entry + product | product + new acc)

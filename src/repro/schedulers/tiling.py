@@ -24,10 +24,13 @@ strategy space the paper describes:
       peak(width) = width·w_in + w_acc + max(w_in+w_acc, 2·w_acc)
 
 For a given budget the planner enumerates feasible parameters of both
-orientations and picks the cheapest; the generator then emits the explicit
-move sequence, which the simulator verifies against the closed forms (the
-library's tests assert simulated cost == planned cost and simulated peak ==
-planned peak).
+orientations and picks the cheapest.  It is a closed form in
+``(budget, w_in, w_acc)`` (:meth:`TilingMVMScheduler.plan_for_weights`);
+the graph entry points read the graph's two class weights and ask it, so
+no tiling question walks the graph once per budget.  The generator then
+emits the explicit move sequence, which the simulator verifies against the
+closed forms (the library's tests assert simulated cost == planned cost
+and simulated peak == planned peak).
 
 Setting ``h = m`` (all accumulators resident) or ``width = n`` (whole
 vector resident) reaches the algorithmic lower bound; the minimum fast
@@ -42,11 +45,12 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from ..core.bounds import require_feasible
+from ..core.bounds import min_feasible_budget, require_feasible
 from ..core.cdag import CDAG
 from ..core.exceptions import GraphStructureError, InfeasibleBudgetError
 from ..core.moves import M1, M2, M3, M4, Move
 from ..core.schedule import Schedule
+from ..core.weights import class_weights
 from ..graphs import mvm as mvm_mod
 from .base import OptimalityContract, Scheduler
 
@@ -77,9 +81,11 @@ class TilingMVMScheduler(Scheduler):
               "claimed by the paper")
 
     def accepts(self, cdag: CDAG) -> bool:
-        """Refine the family contract with the instance's (m, n) shape."""
+        """Refine the family contract with the instance's (m, n) shape and
+        the class-uniform weights the closed form is written in."""
         from .families import mvm_params
-        return mvm_params(cdag) == (self.m, self.n)
+        return (mvm_params(cdag) == (self.m, self.n)
+                and class_weights(cdag) is not None)
 
     def fallback_scheduler(self) -> "Scheduler":
         """Degrade to greedy (Prop. 2.3) for guarded probes."""
@@ -106,16 +112,15 @@ class TilingMVMScheduler(Scheduler):
     # ------------------------------------------------------------------ #
     # Weight handling: the tiling model needs class-uniform weights.
 
-    def _class_weights(self, cdag: CDAG) -> Tuple[int, int]:
-        w_in = {cdag.weight(v) for v in cdag.sources}
-        w_acc = {cdag.weight(v) for v in cdag if cdag.predecessors(v)}
-        if len(w_in) != 1 or len(w_acc) != 1:
+    def _weights(self, cdag: CDAG) -> Tuple[int, int]:
+        weights = class_weights(cdag)
+        if weights is None:
             raise GraphStructureError(
                 "tiling planner needs uniform input and compute weights")
-        return w_in.pop(), w_acc.pop()
+        return weights
 
     # ------------------------------------------------------------------ #
-    # Closed-form planning.
+    # The closed form over (budget, w_in, w_acc).
 
     def _transient(self, w_in: int, w_acc: int) -> int:
         """Worst extra occupancy beyond the resident partials while
@@ -143,10 +148,10 @@ class TilingMVMScheduler(Scheduler):
     def width_major_peak(self, width: int, w_in: int, w_acc: int) -> int:
         return width * w_in + w_acc + self._transient(w_in, w_acc)
 
-    def plan(self, cdag: CDAG, budget: Optional[int] = None) -> TilePlan:
-        """Cheapest feasible tiling under ``budget``."""
-        b = require_feasible(cdag, budget)
-        w_in, w_acc = self._class_weights(cdag)
+    def plan_for_weights(self, b: int, w_in: int, w_acc: int) -> TilePlan:
+        """Cheapest feasible tiling under budget ``b`` when every input
+        weighs ``w_in`` and every computed node ``w_acc``.  Costs
+        O(#distinct tile heights), whatever the graph's size."""
         m, n = self.m, self.n
         best: Optional[TilePlan] = None
 
@@ -188,45 +193,54 @@ class TilingMVMScheduler(Scheduler):
                 f"MVM({m},{n})")
         return best
 
+    def min_memory_for_weights(self, w_in: int, w_acc: int) -> int:
+        """Smallest budget whose best tiling reaches the algorithmic lower
+        bound (Def. 2.6): accumulator-priority vs vector-priority."""
+        acc_priority = self.height_major_peak(self.m, 0, w_in, w_acc)
+        vec_priority = self.width_major_peak(self.n, w_in, w_acc)
+        return min(acc_priority, vec_priority)
+
+    # ------------------------------------------------------------------ #
+    # Graph entry points: read the class weights, then ask the closed form.
+
+    def plan(self, cdag: CDAG, budget: Optional[int] = None) -> TilePlan:
+        """Cheapest feasible tiling under ``budget``."""
+        b = require_feasible(cdag, budget)
+        return self.plan_for_weights(b, *self._weights(cdag))
+
     def cost(self, cdag: CDAG, budget: Optional[int] = None) -> int:
         return self.plan(cdag, budget).cost
 
     def cost_many(self, cdag: CDAG, budgets, *, memo=None):
-        """Batched :meth:`cost` with a budget-indexed result memo.
+        """Batched :meth:`cost`.
 
-        The tiling planner is closed-form, so the shareable state is the
-        validated class weights plus the per-budget plan costs; repeated
-        probes of the same budget (grid ∩ binary search) are free."""
+        The memo holds what the graph contributes, its class weights and
+        Prop. 2.3's existence bound, each read once per graph; every
+        budget is then one closed-form plan, with no pass over the
+        graph."""
         state = memo if memo is not None else {}
         if state.get("graph") is not cdag:
-            self._class_weights(cdag)  # validate once
+            weights = self._weights(cdag)
             state.clear()
             state["graph"] = cdag
-            state["costs"] = {}
-        cache = state["costs"]
+            state["weights"] = weights
+            state["need"] = min_feasible_budget(cdag)
+        w_in, w_acc = state["weights"]
         out = []
         for budget in budgets:
             b = cdag.budget if budget is None else budget
-            if b is None:
+            if b is None or b < state["need"]:
                 out.append(_INF)
                 continue
-            val = cache.get(b)
-            if val is None:
-                try:
-                    val = self.cost(cdag, b)
-                except InfeasibleBudgetError:
-                    val = _INF
-                cache[b] = val
-            out.append(val)
+            try:
+                out.append(self.plan_for_weights(b, w_in, w_acc).cost)
+            except InfeasibleBudgetError:
+                out.append(_INF)
         return out
 
     def min_memory_for_lower_bound(self, cdag: CDAG) -> int:
-        """Smallest budget whose best tiling reaches the algorithmic lower
-        bound (Def. 2.6): accumulator-priority vs vector-priority."""
-        w_in, w_acc = self._class_weights(cdag)
-        acc_priority = self.height_major_peak(self.m, 0, w_in, w_acc)
-        vec_priority = self.width_major_peak(self.n, w_in, w_acc)
-        return min(acc_priority, vec_priority)
+        """:meth:`min_memory_for_weights` at the graph's class weights."""
+        return self.min_memory_for_weights(*self._weights(cdag))
 
     # ------------------------------------------------------------------ #
     # Schedule generation.

@@ -15,8 +15,11 @@ from repro.analysis import (CachedCostFn, SweepEngine, SweepStats,
                             get_default_engine, scheduler_min_memory,
                             set_default_engine, sweep)
 from repro.analysis.engine import _pool_task
-from repro.core import InfeasibleBudgetError, double_accumulator, equal
+from repro.analysis import log_budget_grid
+from repro.core import (InfeasibleBudgetError, double_accumulator, equal,
+                        min_feasible_budget)
 from repro.core.governor import CancellationToken
+from repro.experiments import mvm_workload
 from repro.graphs import complete_kary_tree, dwt_graph, mvm_graph
 from repro.schedulers import (ExhaustiveScheduler, LayerByLayerScheduler,
                               OptimalDWTScheduler, OptimalTreeScheduler,
@@ -33,14 +36,18 @@ class TestCostMany:
 
     BUDGETS = [16, 64, 96, 160, 256, 512, 1024]
 
+    @staticmethod
+    def _direct(scheduler, g, b):
+        try:
+            return scheduler.cost(g, b)
+        except InfeasibleBudgetError:
+            return math.inf
+
     def _check(self, scheduler, g):
         memo = {}
         batched = scheduler.cost_many(g, self.BUDGETS, memo=memo)
         for b, got in zip(self.BUDGETS, batched):
-            try:
-                want = scheduler.cost(g, b)
-            except InfeasibleBudgetError:
-                want = math.inf
+            want = self._direct(scheduler, g, b)
             assert got == want
             if math.isfinite(want):
                 assert type(got) is type(want)  # bit-identical sweeps
@@ -54,9 +61,32 @@ class TestCostMany:
         g = complete_kary_tree(3, 3, weights=equal())
         self._check(OptimalTreeScheduler(), g)
 
-    def test_tiling_mvm(self):
+    def test_tiling_mvm(self, monkeypatch):
         g = mvm_graph(8, 10, weights=double_accumulator())
         self._check(TilingMVMScheduler(8, 10), g)
+        # Fig. 5c's grid on MVM(96,120): the class weights and Prop. 2.3's
+        # bound are read once per graph, never once per budget.
+        import repro.schedulers.tiling as tiling_mod
+        calls = {}
+        for name in ("class_weights", "min_feasible_budget"):
+            real = getattr(tiling_mod, name)
+
+            def counted(cdag, real=real, name=name):
+                calls[name] = calls.get(name, 0) + 1
+                return real(cdag)
+            monkeypatch.setattr(tiling_mod, name, counted)
+        w = mvm_workload(False)
+        grid = log_budget_grid(min_feasible_budget(w.graph),
+                               int(w.ioopt.min_memory() * 1.3), 20)
+        assert len(grid) == 20
+        memo = {}
+        first = w.tiling.cost_many(w.graph, grid, memo=memo)
+        assert calls == {"class_weights": 1, "min_feasible_budget": 1}
+        assert w.tiling.cost_many(w.graph, grid, memo=memo) == first
+        assert calls == {"class_weights": 1, "min_feasible_budget": 1}
+        # The grid starts at Prop. 2.3's bound, below the tiling footprint.
+        assert first[0] == math.inf and math.isfinite(first[1])
+        assert first == [self._direct(w.tiling, w.graph, b) for b in grid]
 
     def test_default_cost_many(self, dwt16):
         # base-class fallback: loop over cost(), ∞ on infeasibility

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core import (CDAG, InfeasibleBudgetError, algorithmic_lower_bound,
-                        compute_footprint, custom, double_accumulator, equal,
+                        class_weights, compute_footprint, custom,
+                        double_accumulator, equal,
                         io_breakdown_lower_bound, min_feasible_budget,
                         require_feasible, schedule_exists, PAPER_CONFIGS)
 from repro.graphs import dwt_graph, mvm_graph
@@ -107,3 +108,19 @@ class TestWeightConfigs:
     def test_apply_preserves_structure(self, diamond):
         g = equal().apply(diamond)
         assert g.predecessors("e") == diamond.predecessors("e")
+
+    def test_class_weights_inverts_apply(self, diamond):
+        for cfg in PAPER_CONFIGS:
+            for g in (diamond, mvm_graph(3, 2)):
+                assert class_weights(cfg.apply(g)) == (cfg.input_bits,
+                                                       cfg.compute_bits)
+
+    def test_class_weights_none_when_not_uniform(self, diamond):
+        w = dict(double_accumulator().apply(diamond).weights)
+        w["d"] = 48  # one computed node off its class weight
+        assert class_weights(diamond.with_weights(w)) is None
+        w = dict(equal().apply(diamond).weights)
+        w["a"] = 8  # one input off its class weight
+        assert class_weights(diamond.with_weights(w)) is None
+        # An edge-free graph has no computed class at all.
+        assert class_weights(CDAG((), {"a": 16}, nodes=("a",))) is None

@@ -1,8 +1,14 @@
 """Tests for the CDAG board (repro.core.cdag)."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import networkx as nx
 import pytest
 
+import repro
 from repro.core import CDAG, GraphStructureError
 
 
@@ -141,3 +147,16 @@ class TestNetworkxInterop:
         nxg.add_edge("a", "b")
         g = CDAG.from_networkx(nxg)
         assert g.weight("a") == 1
+
+    def test_cli_import_leaves_networkx_unloaded(self):
+        # networkx is only needed to convert a graph; every CLI call and
+        # daemon start would otherwise pay for importing it.
+        src = pathlib.Path(repro.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.cli; print('networkx' in sys.modules)"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.strip() == "False"

@@ -12,14 +12,20 @@ isolated node tagged as a "tree".
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
-from repro.core import CDAG, min_feasible_budget, simulate
-from repro.graphs import (complete_kary_tree, dwt_graph, long_chain,
-                          mvm_graph, random_layered_dag, random_weighted,
-                          wide_fan_dag)
-from repro.schedulers import (ExhaustiveScheduler, OptimalTreeScheduler,
-                              auto_schedule, auto_scheduler)
+from repro.core import CDAG, GraphStructureError, min_feasible_budget, \
+    simulate
+from repro.graphs import (banded_mvm_graph, complete_kary_tree, conv_graph,
+                          dwt_graph, long_chain, mvm_graph,
+                          random_layered_dag, random_weighted, wide_fan_dag)
+from repro.schedulers import (BandedMVMScheduler, ExhaustiveScheduler,
+                              OptimalTreeScheduler,
+                              SlidingWindowConvScheduler,
+                              TilingMVMScheduler, auto_schedule,
+                              auto_scheduler)
 from repro.schedulers.families import (ANY_FAMILY, FAMILY_TAGS,
                                        graph_families, is_dwt)
 from repro.schedulers.registry import REGISTRY, all_specs, schedulers_for, \
@@ -161,3 +167,39 @@ class TestIsolatedNodeRegression:
         assert inst is not None
         opt = ExhaustiveScheduler(max_nodes=10).cost(g, g.total_weight())
         assert inst.cost(g, g.total_weight()) == opt
+
+
+# --------------------------------------------------------------------- #
+# Regression: closed-form tilers offered for re-weighted graphs
+
+
+class TestReweightedTilerRegression:
+    """The sliding-conv, tiling and banded-mvm footprints are closed forms
+    in class-uniform weights.  A re-weighted graph keeps its family tag,
+    so their ``accepts()`` must check the weights: the registry offered
+    all three for such graphs, and each ``cost()`` then raised."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("base", [conv_graph(3, 2), mvm_graph(3, 2),
+                                      banded_mvm_graph(3, 2, 1)],
+                             ids=lambda g: g.name)
+    def test_every_offered_scheduler_answers(self, base, seed):
+        g = random_weighted(base, 1, 2, seed=seed)
+        budget = g.total_weight()
+        for key, sched in schedulers_for(g):
+            assert math.isfinite(sched.cost(g, budget)), key
+        assert auto_scheduler(g).accepts(g)
+        sched, _ = auto_schedule(g, budget)
+        simulate(g, sched, budget=budget)
+
+    @pytest.mark.parametrize("base,tiler", [
+        (conv_graph(3, 2), SlidingWindowConvScheduler(3, 2)),
+        (mvm_graph(3, 2), TilingMVMScheduler(3, 2)),
+        (banded_mvm_graph(3, 2, 1), BandedMVMScheduler(3, 2, 1)),
+    ], ids=lambda x: getattr(x, "name", None))
+    def test_direct_calls_still_refuse(self, base, tiler):
+        assert tiler.accepts(base)
+        g = random_weighted(base, 1, 2, seed=1)
+        assert not tiler.accepts(g)
+        with pytest.raises(GraphStructureError, match="uniform"):
+            tiler.cost(g, g.total_weight())

@@ -121,6 +121,24 @@ class TestPaperNumbers:
         assert res.write_cost == g.total_weight(g.sinks)
 
 
+class TestWeightLevelClosedForm:
+    """Fig. 6c/6d ask the closed form with a configuration's class weights
+    and build no graph; the answer must be the graph's Def. 2.6 minimum.
+    The sizes cover the n = 1 transient and the m/n crossover."""
+
+    @pytest.mark.parametrize("n", [1, 2, 95, 96, 97, 120])
+    @pytest.mark.parametrize("cfg", [equal(), double_accumulator()],
+                             ids=["equal", "da"])
+    def test_min_memory_matches_graph(self, n, cfg):
+        t = TilingMVMScheduler(96, n)
+        g = mvm_graph(96, n, weights=cfg)
+        bits = t.min_memory_for_weights(cfg.input_bits, cfg.compute_bits)
+        assert bits == t.min_memory_for_lower_bound(g)
+        lb = algorithmic_lower_bound(g)
+        assert t.cost(g, bits) == lb
+        assert t.cost_many(g, [bits - cfg.input_bits])[0] > lb
+
+
 class TestNearOptimality:
     @pytest.mark.parametrize("m,n", [(2, 2), (3, 2)])
     def test_close_to_exhaustive_at_generous_budget(self, m, n):
