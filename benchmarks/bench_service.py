@@ -4,9 +4,12 @@ Drives a real ``repro.cli serve`` subprocess — durable store attached,
 the deployment shape — with many concurrent clients probing **distinct
 budgets** of one probe family at a time, the workload cross-request
 micro-batching exists for.  Two passes: once with ``--batch-window 0``
-(the probe-at-a-time wire: every probe commits its result to the store
-individually, one fsync each) and once with batching enabled (a fused
-batch of k probes is one dispatch and one commit).  Reports req/s,
+(the probe-at-a-time wire: one executor dispatch, one engine-lock
+acquisition and one ``cost_many`` call per probe) and once with batching
+enabled (a fused batch of k probes shares one of each).  Both sides
+commit every probe to the store individually, one fsync each: the
+engine's store commits every put, so batching does not amortize
+durability.  Reports req/s,
 client-observed p50/p95 latency, and the daemon's batching counters,
 and verifies **every** served cost against a store-less single-probe
 reference computed in this process (zero drift tolerated: batching must
@@ -42,15 +45,11 @@ from repro.core.store import graph_fingerprint
 from repro.service.protocol import (encode, resolve_graph,
                                     resolve_scheduler)
 
-#: (graph spec, budgets) probe families.  Small graphs the oracle solves
-#: in milliseconds: the benchmark stresses the *serving* path (dispatch,
-#: locks, checkpoint flushes, wire round-trips), which is where fusing k
-#: probes into one ``cost_many`` pays.
-#: The workload micro-batching exists for: many clients, distinct
-#: budgets, solves fast enough that *serving* overhead — executor
-#: round-trips, engine-lock acquisitions, checkpoint flushes, one
-#: dispatch per request — dominates, which is precisely what fusing k
-#: probes into one ``cost_many`` amortizes.  Budget grids start at each
+#: (graph spec, budgets) probe families: the workload micro-batching
+#: exists for.  Many clients, distinct budgets, solves fast enough that
+#: *serving* overhead — executor round-trips, engine-lock acquisitions,
+#: one dispatch per request — dominates, which is what fusing k probes
+#: into one ``cost_many`` amortizes.  Budget grids start at each
 #: family's min-memory so every probe is feasible, and their length is
 #: divisible by the default client count so batches fire full.
 STRATEGY = "dwt-optimal"
@@ -89,9 +88,8 @@ def reference(corpus):
 
 def spawn_daemon(store_dir, extra, ready_timeout=60.0):
     """Launch ``repro.cli serve`` with a durable store on an ephemeral
-    port.  The store is the deployment shape — and the serving cost
-    batching amortizes: every unbatched probe commits (fsync) its result
-    individually, a fused batch commits once."""
+    port.  The store is the deployment shape; both sides commit (fsync)
+    every probe's result individually."""
     src_root = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
     env = dict(os.environ)
@@ -99,7 +97,6 @@ def spawn_daemon(store_dir, extra, ready_timeout=60.0):
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
          "--store", store_dir,
-         "--checkpoint", os.path.join(store_dir, "probes.ckpt"),
          "--max-inflight", "2", "--max-pending", "256", *extra],
         env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     deadline = time.monotonic() + ready_timeout

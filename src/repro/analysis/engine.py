@@ -30,9 +30,10 @@ Long sweeps also survive partial failure (see
 * **worker-crash recovery** — a ``BrokenProcessPool`` rebuilds the pool
   and re-dispatches only the lost tasks, degrading to serial in-process
   execution after repeated pool deaths;
-* **checkpoint/resume** — completed ``(scheduler, graph, budget) → cost``
-  probes are journaled to a JSON file (``checkpoint=`` kwarg /
-  ``--checkpoint`` flag) and re-seed the caches of a resumed run.
+* **resume** — completed ``(scheduler, graph, budget) → cost`` probes
+  are written through to a durable :class:`~repro.core.store.ResultStore`
+  (``store=`` kwarg / ``--store`` flag) and re-seed the caches of a
+  resumed run.
 
 And, orthogonally, wrong answers are caught (see
 :mod:`repro.analysis.audit`): with ``audit=`` above ``"off"`` every fresh
@@ -53,6 +54,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import os
 import threading
 import time
 import warnings
@@ -64,11 +66,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 from ..core.bounds import algorithmic_lower_bound, min_feasible_budget
 from ..core.cdag import CDAG
 from ..core.exceptions import AuditFailure
-from ..core.governor import CancellationToken, governed
+from ..core.governor import CancellationToken, governed, install_rlimit
 from .audit import Auditor, AuditViolation
-from .faults import (FailureRecord, FaultPolicy, SweepCheckpoint,
-                     normalize_probe, run_probe)
-from .governor import install_rlimit
+from .faults import FailureRecord, FaultPolicy, run_probe
 from .min_memory import cost_at, minimum_fast_memory
 from .sweep import SweepSeries
 
@@ -196,12 +196,11 @@ class ProbeOutcome:
     ``cost`` is what the probe reported (the bracket's upper bound for
     anytime answers); ``(lb, ub)`` is the certified bracket — equal for
     exact answers; ``cached`` means the answer was served without a fresh
-    scheduler evaluation (in-memory cache, checkpoint seed, or durable
-    store read-through)."""
+    scheduler evaluation (in-memory cache or durable store read-through)."""
 
     cost: float
     degraded: bool
-    provenance: str  #: one of :data:`repro.analysis.faults.PROVENANCES`
+    provenance: str  #: one of :data:`repro.core.store.PROVENANCES`
     lb: float
     ub: float
     cached: bool
@@ -278,7 +277,7 @@ class CachedCostFn:
         self._monotone = bool(monotone)
         self.degraded: set = set()
         #: budget -> ladder rung for every non-exact cached value
-        #: (see :data:`repro.analysis.faults.PROVENANCES`)
+        #: (see :data:`repro.core.store.PROVENANCES`)
         self.provenance: Dict[int, str] = {}
         #: budget -> certified (lb, ub) for anytime-bracketed values
         self.brackets: Dict[int, Tuple[float, float]] = {}
@@ -317,7 +316,7 @@ class CachedCostFn:
 
     def _evaluate(self, budget: int) -> float:
         """Evaluate one uncached budget (guarded when a policy is set),
-        store it, and notify the checkpoint hook."""
+        cache it, and notify the ``on_eval`` hook (store write-through)."""
         t0 = time.perf_counter()
         if self._scheduler is not None:
             evaluate = lambda: self._scheduler.cost_many(
@@ -407,9 +406,9 @@ class CachedCostFn:
         anytime streaming: a request answered early with an ``[lb, ub]``
         bracket is later refined to the exact value, and because the
         re-evaluation runs through the normal ``on_eval`` plumbing the
-        exact record also upgrades the checkpoint and the durable store
-        through the provenance merge ladder — a refined budget can never
-        regress to a stale bracket."""
+        exact record also upgrades the durable store through the
+        provenance merge ladder — a refined budget can never regress to a
+        stale bracket."""
         self.stats.probes += 1
         hit = self._cache.get(budget)
         if hit is not None and budget not in self.degraded:
@@ -465,15 +464,13 @@ class CachedCostFn:
         return self._cache[budget]
 
     def preload(self, entries: Dict[int, tuple]) -> None:
-        """Seed the cache from persisted probes (checkpoint resume):
-        ``budget -> (cost, degraded[, provenance, lb])`` (historical
-        2-tuples normalize to the fallback/exact rungs).  Already-cached
+        """Seed the cache from persisted probes (store resume):
+        ``budget -> (cost, degraded, provenance, lb)``.  Already-cached
         budgets keep their in-memory value; stats are untouched (a seeded
         probe later counts as a cache hit, which is what it is)."""
-        for budget, value in entries.items():
+        for budget, (cost, was_degraded, provenance, lb) in entries.items():
             if budget in self._cache:
                 continue
-            cost, was_degraded, provenance, lb = normalize_probe(value)
             self._cache[budget] = cost
             if was_degraded:
                 self.degraded.add(budget)
@@ -576,10 +573,6 @@ def _pool_task(fn, args, kwargs, setup: Optional[dict] = None):
                          store=setup.get("store"))
     engine._context = setup.get("context", "")
     engine._collect_probes = True
-    # Attach (never own) the parent's shared-bound segment: cost
-    # functions built in this worker seed their memos with the name and
-    # the oracle's transposition tables read/publish through it.
-    engine._shared_name = setup.get("shared_bounds")
     seed = setup.get("seed")
     if seed:
         engine._seed.update(seed)
@@ -623,9 +616,6 @@ class SweepEngine:
     max_pool_restarts:
         Pool rebuilds tolerated in :meth:`map` before the remaining
         tasks run serially in-process.
-    checkpoint / checkpoint_every:
-        Path of a probe journal (created if missing, resumed if present)
-        and the flush cadence in newly evaluated probes.
     audit:
         Audit level (``"off"``/``"bounds"``/``"replay"``/
         ``"differential"``) or a configured
@@ -638,7 +628,7 @@ class SweepEngine:
         has no fallback.  ``"off"`` (default) leaves the evaluation path
         byte-identical to the un-audited engine.
 
-    Governance kwargs (:mod:`repro.analysis.governor`, all inert by
+    Governance kwargs (:mod:`repro.core.governor`, all inert by
     default):
 
     deadline / mem_limit_mb:
@@ -654,15 +644,6 @@ class SweepEngine:
     jitter_seed:
         Seed for the retry-backoff jitter RNG, making retry timing
         reproducible (ships to pool workers).
-    shared_bounds:
-        Host a :class:`~repro.core.shared_bounds.SharedBoundStore` for
-        this engine's lifetime and thread its segment name into every
-        oracle memo (here and in pool workers), so concurrent probes of
-        the same (graph, goal) exchange solved budgets, incumbents and
-        lower bounds across processes.  Purely an optimization: exact
-        values (and their provenance) are identical with it on or off,
-        and the engine degrades to local-only tables when shared memory
-        is unavailable.
     monotone_probes:
         Evaluate batched probes of budget-monotone schedulers (those
         advertising ``monotone_budget_probes``, i.e. the exhaustive
@@ -677,14 +658,18 @@ class SweepEngine:
         every cost function preloads from it, its name ships to pool
         workers (each opens its own handle; the store's locked commit
         protocol deduplicates), and the oracle reuses its exact records
-        via ``memo["result_store"]``.  A configured ``checkpoint``
-        journal is migrated into the store on startup.  ``None``
-        (default) leaves every artifact byte-identical to a store-less
-        engine.
+        via ``memo["result_store"]``.  The store is the only way a probe
+        result crosses runs or processes.  ``None`` (default) leaves
+        every artifact byte-identical to a store-less engine.
+    checkpoint:
+        Path of a probe journal written by earlier releases.  If the
+        file exists it is folded into ``store`` once on startup (see
+        :meth:`~repro.core.store.ResultStore.import_journal`); it is
+        never written.  Needs ``store``.
 
     The engine is a context manager: ``with SweepEngine(...) as eng:``
-    guarantees :meth:`close` (checkpoint flush, shared-bound segment,
-    store handle) on every exit path.
+    guarantees :meth:`close` (store commit and release) on every exit
+    path.
     """
 
     def __init__(self, jobs: int = 1, *,
@@ -695,13 +680,11 @@ class SweepEngine:
                  fallback: Union[str, None, object] = AUTO_FALLBACK,
                  max_pool_restarts: int = 2,
                  checkpoint: Optional[str] = None,
-                 checkpoint_every: int = 16,
                  audit: Union[str, Auditor] = "off",
                  deadline: Optional[float] = None,
                  mem_limit_mb: Optional[float] = None,
                  anytime: bool = False,
                  jitter_seed: Optional[int] = None,
-                 shared_bounds: bool = False,
                  monotone_probes: bool = True,
                  store=None):
         self.jobs = max(1, int(jobs))
@@ -718,9 +701,6 @@ class SweepEngine:
                                   deadline=deadline, mem_limit_mb=mem_limit_mb,
                                   anytime=anytime, seed=jitter_seed)
         self.fallback = fallback
-        self.checkpoint: Optional[SweepCheckpoint] = (
-            SweepCheckpoint(checkpoint, every=checkpoint_every)
-            if checkpoint else None)
         self._fns: Dict[Tuple, CachedCostFn] = {}
         # id(cdag) -> (cdag, lower bound, min budget, total weight, gcd step)
         self._bounds: Dict[int, Tuple] = {}
@@ -728,34 +708,24 @@ class SweepEngine:
         self._graph_keys: Dict[int, Tuple[CDAG, str]] = {}
         #: persisted/absorbed probes: (sched key, graph key, budget) ->
         #: (cost, degraded, provenance, lb)
-        self._seed: Dict[Tuple[str, str, int], tuple] = (
-            dict(self.checkpoint.entries) if self.checkpoint else {})
+        self._seed: Dict[Tuple[str, str, int], tuple] = {}
         self._probe_log: List[tuple] = []
         self._collect_probes = False
         self._context = ""
         #: Service-layer thread-safety (see :meth:`probe`): a creation
         #: lock for the cost-fn registry plus one lock per (scheduler,
         #: graph) serializing evaluations that share a memo/table, and a
-        #: journal lock serializing checkpoint/store/seed writes.
+        #: record lock serializing store/seed writes.
         self._submit_lock = threading.Lock()
         self._fn_locks: Dict[Tuple, threading.Lock] = {}
         self._record_lock = threading.Lock()
-        #: Cross-worker bound store (owner side).  ``_shared_name`` alone
-        #: is set on pool workers, which attach instead of owning.
-        self._shared_store = None
-        self._shared_name: Optional[str] = None
-        if shared_bounds:
-            try:
-                from ..core.shared_bounds import SharedBoundStore
-                self._shared_store = SharedBoundStore.create()
-                self._shared_name = self._shared_store.name
-            except Exception:  # degrade to local-only tables
-                self._shared_store = None
-                self._shared_name = None
         #: Durable cross-run result store (open-failure raises: a user
         #: who asked for durability should not silently lose it).
         self.store = None
         self._store_path: Optional[str] = None
+        if checkpoint is not None and store is None:
+            raise ValueError("checkpoint= imports an old probe journal "
+                             "into a result store; pass store=DIR too")
         if store is not None:
             from ..core.store import ResultStore
             if isinstance(store, ResultStore):
@@ -763,65 +733,38 @@ class SweepEngine:
             else:
                 self.store = ResultStore(store)
             self._store_path = self.store.path
-            # Seed order: the checkpoint journal migrates into the
-            # store first (its merge rule keeps whichever side is more
-            # exact per key), and the *merged* view then seeds this run
-            # — so a store-side anytime/fallback record can never
-            # shadow a checkpoint's exact value in the in-memory seed,
-            # and future runs need only the store.
-            if self.checkpoint is not None and self.checkpoint.entries:
-                self.store.absorb_probes(self.checkpoint.entries)
+            # The journal folds into the store first (its merge rule
+            # keeps whichever side is more exact per key), so the merged
+            # view seeds this run and later runs need only the store.
+            if checkpoint is not None and os.path.exists(checkpoint):
+                self.store.import_journal(checkpoint)
             self._seed.update(self.store.probe_entries())
 
     def close(self) -> None:
-        """Release engine-owned resources: flush the checkpoint, commit
-        and release the result store, and destroy the shared-bound
-        segment (if hosting one).  Idempotent; the engine remains usable
-        afterwards, minus bound sharing and store write-through.
+        """Commit and release the result store.  Idempotent; the engine
+        remains usable afterwards, minus store write-through.
 
         Safe to call from ``atexit`` handlers, signal handlers, and
         ``finally`` blocks around a constructor — i.e. on an engine that
         never ran a sweep, whose pool already died, or whose ``__init__``
         raised partway (missing attributes count as already-released).
-        Each teardown step is guarded independently, so a failing store
-        flush (reported as a :class:`RuntimeWarning`, since silently
-        dropping durable records would be worse) still releases the
-        shared-memory segment instead of leaking it."""
-        checkpoint = getattr(self, "checkpoint", None)
-        if checkpoint is not None:
-            try:
-                checkpoint.flush()
-            except Exception as exc:
-                warnings.warn(f"engine close: checkpoint flush failed "
-                              f"({exc})", RuntimeWarning, stacklevel=2)
+        A failing store flush is reported as a :class:`RuntimeWarning`:
+        a teardown path must not throw, and silently dropping durable
+        records would be worse."""
         store = getattr(self, "store", None)
         self.store = None
-        try:
-            if store is not None:
+        if store is not None:
+            try:
                 store.close()
-        except Exception as exc:
-            warnings.warn(f"engine close: result-store flush failed "
-                          f"({exc})", RuntimeWarning, stacklevel=2)
-        finally:
-            shared = getattr(self, "_shared_store", None)
-            self._shared_store = None
-            self._shared_name = None
-            if shared is not None:
-                with contextlib.suppress(Exception):
-                    shared.unlink()
+            except Exception as exc:
+                warnings.warn(f"engine close: result-store flush failed "
+                              f"({exc})", RuntimeWarning, stacklevel=2)
 
     def __enter__(self) -> "SweepEngine":
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    def __del__(self):  # pragma: no cover - GC timing dependent
-        try:
-            if self._shared_store is not None:
-                self._shared_store.unlink()
-        except Exception:
-            pass
 
     # ----------------------------------------------------------------- #
     # Probe labelling / persistence plumbing
@@ -844,8 +787,7 @@ class SweepEngine:
         node count, and a fingerprint of the weighted structure — safe
         across processes and runs (unlike ``id``).  Computed by
         :func:`repro.core.store.graph_fingerprint` (one address shared by
-        checkpoints, the result store, and the oracle), cached per graph
-        object here."""
+        the result store and the oracle), cached per graph object here."""
         from ..core.store import graph_fingerprint
         key = id(cdag)
         entry = self._graph_keys.get(key)
@@ -858,16 +800,13 @@ class SweepEngine:
                       cost: float, was_degraded: bool,
                       provenance: str = "exact",
                       lb: Optional[float] = None) -> None:
-        """Journal one completed probe (checkpoint + store + worker
-        export).  Serialized under the journal lock so concurrent
-        service-layer probes of *different* graphs (see :meth:`probe`)
-        never interleave checkpoint/store commits."""
+        """Record one completed probe (seed + store + worker export).
+        Serialized under the record lock so concurrent service-layer
+        probes of *different* graphs (see :meth:`probe`) never interleave
+        store commits."""
         with self._record_lock:
             self._seed[(sched_key, gkey, budget)] = (cost, was_degraded,
                                                      provenance, lb)
-            if self.checkpoint is not None:
-                self.checkpoint.record(sched_key, gkey, budget, cost,
-                                       was_degraded, provenance, lb)
             if self.store is not None:
                 self.store.put_probe(sched_key, gkey, budget, cost,
                                      was_degraded, provenance, lb)
@@ -875,17 +814,12 @@ class SweepEngine:
                 self._probe_log.append((sched_key, gkey, budget, cost,
                                         was_degraded, provenance, lb))
 
-    def _absorb_probes(self, probes) -> None:
-        """Fold probes harvested from a worker into this engine's seed
-        (and checkpoint), so later cost functions reuse them.  Rows are
-        5-field (historical) or 7-field (with provenance + lb)."""
+    def _record_probes(self, probes) -> None:
+        """Fold ``(sched key, graph key, budget, cost, degraded,
+        provenance, lb)`` rows harvested from a worker into this engine's
+        seed (and store), so later cost functions reuse them."""
         for row in probes:
             self._record_probe(*row)
-
-    def flush_checkpoint(self) -> None:
-        """Persist any probes not yet written (no-op without a journal)."""
-        if self.checkpoint is not None:
-            self.checkpoint.flush()
 
     def _fallback_for(self, scheduler):
         if self.fallback == AUTO_FALLBACK:
@@ -916,11 +850,6 @@ class SweepEngine:
                               monotone=self.monotone_probes)
             fn.preload({b: v for (s, g, b), v in self._seed.items()
                         if s == sched_key and g == gkey})
-            if self._shared_name:
-                # Oracles thread this through their transposition tables
-                # (``ExhaustiveScheduler.cost_many``); schedulers that
-                # ignore the key are unaffected.
-                fn._memo["shared_store"] = self._shared_name
             if self.store is not None:
                 # The oracle serves exact records straight from the
                 # durable store and writes fresh results back through it.
@@ -933,8 +862,8 @@ class SweepEngine:
         """Memoized wrapper for a plain cost callable.  ``key`` makes the
         cache survive across calls that rebuild the callable (e.g. a
         closure over the same model object).  Raw callables get timeouts
-        and retries but no fallback degradation and no checkpointing —
-        there is no stable cross-run identity to journal them under."""
+        and retries but no fallback degradation and no store records —
+        there is no stable cross-run identity to key them under."""
         cache_key = ("raw",) + (key if key is not None else (id(fn),))
         cached = self._fns.get(cache_key)
         if cached is None:
@@ -959,7 +888,6 @@ class SweepEngine:
             costs = tuple(fn.value(b) for b in budgets)
         finally:
             self.stats.wall_time += time.perf_counter() - t0
-            self.flush_checkpoint()
         self.stats.sweeps += 1
         return SweepSeries(label=label, budgets=tuple(budgets), costs=costs,
                            degraded=tuple(b for b in budgets
@@ -1035,7 +963,6 @@ class SweepEngine:
                                         False)))
         finally:
             self.stats.wall_time += time.perf_counter() - t0
-            self.flush_checkpoint()
         self.stats.searches += 1
         return result
 
@@ -1087,13 +1014,10 @@ class SweepEngine:
             else:
                 value = fn(budget)
             lb, ub = fn.bracket(budget)
-            outcome = ProbeOutcome(
+            return ProbeOutcome(
                 cost=value, degraded=budget in fn.degraded,
                 provenance=fn.provenance.get(budget, "exact"),
                 lb=lb, ub=ub, cached=cached)
-        with self._record_lock:
-            self.flush_checkpoint()
-        return outcome
 
     def probe_many(self, scheduler, cdag: CDAG, budgets: Sequence[int], *,
                    token: Optional[CancellationToken] = None
@@ -1103,9 +1027,9 @@ class SweepEngine:
         entry, in caller order.
 
         This is the dispatch target of the daemon's micro-batcher
-        (:mod:`repro.service.batcher`): budgets already cached (memory,
-        checkpoint seed, or durable store) are stripped from the batch,
-        and the rest run as **one** ``cost_many`` call over the shared
+        (:mod:`repro.service.batcher`): budgets already cached (memory
+        or durable store) are stripped from the batch, and the rest run
+        as **one** ``cost_many`` call over the shared
         DP memo / transposition table (``prime(fused=True)``) — for
         budget-monotone schedulers evaluated high-first, so each exact
         answer seeds upper-bound pruning for the budgets below it.
@@ -1135,8 +1059,6 @@ class SweepEngine:
                     cost=fn.value(b), degraded=b in fn.degraded,
                     provenance=fn.provenance.get(b, "exact"),
                     lb=lb, ub=ub, cached=was_cached[b]))
-        with self._record_lock:
-            self.flush_checkpoint()
         return outcomes
 
     def probe_min_memory(self, scheduler, cdag: CDAG, *,
@@ -1181,7 +1103,6 @@ class SweepEngine:
             "mem_limit_mb": self.policy.mem_limit_mb,
             "anytime": self.policy.anytime,
             "jitter_seed": self.policy.seed,
-            "shared_bounds": self._shared_name,
             "monotone_probes": self.monotone_probes,
             "store": self._store_path,
         }
@@ -1214,16 +1135,10 @@ class SweepEngine:
             return []
         self.stats.tasks += len(norm)
         if self.jobs == 1 or len(norm) == 1:
-            try:
-                return [fn(*args, engine=self, **kwargs)
-                        for fn, args, kwargs in norm]
-            finally:
-                self.flush_checkpoint()
+            return [fn(*args, engine=self, **kwargs)
+                    for fn, args, kwargs in norm]
         results: List = [None] * len(norm)
-        try:
-            self._map_with_recovery(norm, results)
-        finally:
-            self.flush_checkpoint()
+        self._map_with_recovery(norm, results)
         return results
 
     def _map_with_recovery(self, norm, results) -> None:
@@ -1263,7 +1178,7 @@ class SweepEngine:
                         break
                     results[i] = result
                     self.stats.merge(stats)
-                    self._absorb_probes(probes)
+                    self._record_probes(probes)
                     completed.append(i)
                 if crashed is not None:
                     # Keep everything that finished before the pool died.
@@ -1276,7 +1191,7 @@ class SweepEngine:
                             result, stats, probes = fut.result()
                             results[i] = result
                             self.stats.merge(stats)
-                            self._absorb_probes(probes)
+                            self._record_probes(probes)
                             completed.append(i)
             if crashed is None:
                 pending = []

@@ -11,10 +11,9 @@ composes so a multi-hour sweep survives all three:
 * :func:`run_probe` — one guarded cost evaluation: times out, retries,
   degrades to a fallback evaluation (recording the probe as an *upper
   bound*), and emits a :class:`FailureRecord` for anything non-clean.
-* :class:`SweepCheckpoint` — a crash-safe journal of completed
-  ``(scheduler, graph, budget) → cost`` probes, persisted as
-  :mod:`repro.serialize` JSON so a killed sweep resumes instead of
-  restarting from zero.
+
+A killed sweep resumes from the durable result store
+(:class:`repro.core.store.ResultStore`, ``SweepEngine(store=...)``).
 
 Everything here is policy-off by default: with no timeout, no retries and
 no fallback, :func:`run_probe` is a plain function call and the engine's
@@ -23,28 +22,20 @@ happy path stays byte-identical to the un-guarded one.
 
 from __future__ import annotations
 
-import os
 import random
 import threading
 import time
-import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from ..core.exceptions import (PebbleGameError, ProbeCancelledError,
                                ProbeTimeoutError, StateSpaceTooLargeError)
 from ..core.governor import CancellationToken, current_token, governed
+from ..core.store import PROVENANCES  # noqa: F401  (the ladder, re-exported)
 
 #: Resolutions a :class:`FailureRecord` can end with.
 RESOLUTIONS = ("retried", "degraded", "failed", "redispatched",
                "serial-fallback", "quarantined", "anytime", "inconclusive")
-
-#: Where a recorded probe value came from, most to least exact.  The
-#: degradation ladder moves down: ``"exact"`` (ungoverned or completed
-#: search), ``"anytime"`` (certified ``[lb, ub]`` bracket, value = ub),
-#: ``"fallback"`` (greedy upper bound after timeout/state guard),
-#: ``"quarantined"`` (fallback after a failed audit).
-PROVENANCES = ("exact", "anytime", "fallback", "quarantined")
 
 #: Exception types treated as transient (worth retrying) by default.
 #: Deterministic game errors (:class:`PebbleGameError`) are never retried —
@@ -307,126 +298,3 @@ def run_probe(evaluate: Callable[[], object], *, key: str,
     if attempts > 1:
         record(last_exc, "retried")
     return value, False
-
-
-# --------------------------------------------------------------------- #
-# Checkpointing
-
-
-ProbeKey = Tuple[str, str, int]  # (scheduler key, graph key, budget)
-#: (cost, degraded?, provenance, lower bound or None) — see PROVENANCES.
-ProbeValue = Tuple[float, bool, str, Optional[float]]
-
-
-def normalize_probe(value) -> ProbeValue:
-    """Canonical 4-tuple probe value from any historical shape.
-
-    PR 2's checkpoints stored ``(cost, degraded)``; the governance layer
-    added ``(provenance, lb)``.  Old tuples normalize to provenance
-    ``"fallback"``/``"exact"`` (what the degraded flag used to mean) and
-    an unknown lower bound.
-    """
-    cost = value[0]
-    degraded = bool(value[1])
-    if len(value) >= 4:
-        provenance, lb = value[2], value[3]
-    else:
-        provenance, lb = ("fallback" if degraded else "exact"), None
-    return (cost, degraded, provenance, lb)
-
-
-class SweepCheckpoint:
-    """Crash-safe journal of completed probes, resumable across runs.
-
-    Entries map ``(scheduler key, graph key, budget)`` to ``(cost,
-    degraded, provenance, lb)``.  The file (see
-    ``repro.serialize.checkpoint_to_dict``) is rewritten atomically and
-    durably — temp file, flush + ``fsync``, ``os.replace``, then a
-    directory ``fsync`` so the rename itself survives power loss — every
-    ``every`` newly recorded probes and on :meth:`flush`, so a kill at
-    any instant leaves either the old or the new journal, never a torn
-    one.  Loading a pre-existing file merges its entries in; a malformed
-    file is set aside as ``<path>.corrupt`` with a ``RuntimeWarning``
-    and the run starts from an empty journal — resuming loses only the
-    cached probes, never the run.
-    """
-
-    def __init__(self, path: str, every: int = 16):
-        from .. import serialize  # local import to avoid a cycle
-        self.path = os.fspath(path)
-        self.every = max(1, int(every))
-        self.entries: Dict[ProbeKey, ProbeValue] = {}
-        self._pending = 0
-        if os.path.exists(self.path):
-            with open(self.path) as fh:
-                text = fh.read()
-            if text.strip():
-                try:
-                    self.entries.update(serialize.loads_checkpoint(text))
-                except Exception as exc:
-                    quarantined = f"{self.path}.corrupt"
-                    try:
-                        os.replace(self.path, quarantined)
-                        where = f"set aside as {quarantined}"
-                    except OSError:
-                        where = "left in place (could not set it aside)"
-                    warnings.warn(
-                        f"checkpoint {self.path} is unreadable ({exc}); "
-                        f"{where} — resuming with an empty journal",
-                        RuntimeWarning, stacklevel=2)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def seed(self, scheduler_key: str, graph_key: str
-             ) -> Dict[int, ProbeValue]:
-        """All saved probes of one (scheduler, graph) pair, by budget."""
-        return {b: v for (s, g, b), v in self.entries.items()
-                if s == scheduler_key and g == graph_key}
-
-    def record(self, scheduler_key: str, graph_key: str, budget: int,
-               cost: float, degraded: bool = False,
-               provenance: Optional[str] = None,
-               lb: Optional[float] = None) -> None:
-        key = (scheduler_key, graph_key, int(budget))
-        if key in self.entries:
-            return
-        self.entries[key] = normalize_probe(
-            (cost, degraded,
-             provenance if provenance is not None
-             else ("fallback" if degraded else "exact"), lb))
-        self._pending += 1
-        if self._pending >= self.every:
-            self.flush()
-
-    def merge(self, rows) -> None:
-        """Fold probes harvested from a worker: an iterable of
-        ``(scheduler_key, graph_key, budget, cost, degraded[, provenance,
-        lb])`` rows (old 5-field rows still accepted)."""
-        for row in rows:
-            self.record(*row)
-
-    def flush(self) -> None:
-        """Atomically and durably persist the journal (no-op when
-        nothing changed since the last write and the file already
-        exists).  The temp file is fsync'd before the rename and the
-        directory after it: without the latter, a power loss can forget
-        the rename and resurrect the old journal — or no journal at
-        all — even though :meth:`flush` already returned."""
-        from .. import serialize
-        if self._pending == 0 and os.path.exists(self.path):
-            return
-        tmp = f"{self.path}.tmp.{os.getpid()}"
-        with open(tmp, "w") as fh:
-            fh.write(serialize.dumps_checkpoint(self.entries))
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self.path)
-        dirfd = os.open(os.path.dirname(self.path) or ".", os.O_RDONLY)
-        try:
-            os.fsync(dirfd)
-        except OSError:  # pragma: no cover - platform-dependent
-            pass
-        finally:
-            os.close(dirfd)
-        self._pending = 0

@@ -19,7 +19,7 @@ class SweepSeries:
     scheduler after the primary timed out or tripped a state-space guard
     (see :mod:`repro.analysis.faults`) — those entries are upper bounds,
     not the labelled strategy's true cost.  ``provenance`` refines the
-    flag per the governance ladder (:data:`repro.analysis.faults.
+    flag per the governance ladder (:data:`repro.core.store.
     PROVENANCES`): ``(budget, tag)`` pairs for every non-``"exact"``
     budget — ``"anytime"`` entries additionally carry a certified lower
     bound the engine recorded.  Fault-free sweeps leave both empty, so

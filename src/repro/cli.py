@@ -176,10 +176,9 @@ def cmd_minmem(args) -> int:
     g = _load_graph(args.graph)
     scheduler = _make_scheduler(args.strategy, g, args)
     with SweepEngine(timeout=args.timeout, retries=args.retries,
-                     checkpoint=args.checkpoint, audit=args.audit,
-                     deadline=args.deadline, mem_limit_mb=args.mem_limit,
-                     anytime=args.anytime, jitter_seed=args.jitter_seed,
-                     shared_bounds=args.shared_bounds,
+                     audit=args.audit, deadline=args.deadline,
+                     mem_limit_mb=args.mem_limit, anytime=args.anytime,
+                     jitter_seed=args.jitter_seed,
                      monotone_probes=not args.no_monotone_probes,
                      store=args.store) as engine:
         bits = engine.min_memory(scheduler, g)
@@ -226,10 +225,9 @@ def cmd_experiments(args) -> int:
     from .experiments.__main__ import main as run_all
     run_all(args.output_dir, jobs=args.jobs, profile=args.profile,
             timeout=args.timeout, retries=args.retries,
-            checkpoint=args.checkpoint, audit=args.audit,
-            deadline=args.deadline, mem_limit_mb=args.mem_limit,
-            anytime=args.anytime, jitter_seed=args.jitter_seed,
-            shared_bounds=args.shared_bounds,
+            audit=args.audit, deadline=args.deadline,
+            mem_limit_mb=args.mem_limit, anytime=args.anytime,
+            jitter_seed=args.jitter_seed,
             monotone_probes=not args.no_monotone_probes,
             store=args.store)
     return 0
@@ -280,8 +278,7 @@ def cmd_serve(args) -> int:
         governor = TenantGovernor.parse(args.tenant or [])
     except ValueError as exc:
         raise SystemExit(str(exc))
-    engine = SweepEngine(store=args.store, anytime=True,
-                         checkpoint=args.checkpoint)
+    engine = SweepEngine(store=args.store, anytime=True)
     daemon = SchedulingDaemon(engine, host=args.host, port=args.port,
                               max_pending=args.max_pending,
                               max_inflight=args.max_inflight,
@@ -306,9 +303,6 @@ def _add_fault_flags(parser) -> None:
     parser.add_argument("--retries", type=int, default=0, metavar="N",
                         help="retries for transient probe failures "
                              "(exponential backoff + jitter)")
-    parser.add_argument("--checkpoint", metavar="FILE",
-                        help="journal completed probes to FILE and resume "
-                             "from it if it exists")
     parser.add_argument("--audit",
                         choices=["off", "bounds", "replay", "differential"],
                         default="off",
@@ -331,11 +325,6 @@ def _add_fault_flags(parser) -> None:
     parser.add_argument("--jitter-seed", type=int, default=None, metavar="N",
                         help="seed the retry-backoff jitter RNG for "
                              "reproducible retry timing")
-    parser.add_argument("--shared-bounds", action="store_true",
-                        help="host a cross-worker shared-memory bound store: "
-                             "concurrent oracle probes of the same graph "
-                             "exchange solved budgets, incumbents and lower "
-                             "bounds (values are identical either way)")
     parser.add_argument("--no-monotone-probes", action="store_true",
                         help="disable high-budget-first ordering of batched "
                              "oracle probes (the default ordering only "
@@ -430,8 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="durable result store backing the daemon "
                         "(crash-safe; probes served from it are never "
                         "recomputed)")
-    v.add_argument("--checkpoint", metavar="FILE",
-                   help="probe journal (see --checkpoint on minmem)")
     v.add_argument("--max-inflight", type=int, default=2, metavar="N",
                    help="solver threads (default 2)")
     v.add_argument("--max-pending", type=int, default=16, metavar="N",

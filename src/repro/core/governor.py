@@ -2,9 +2,10 @@
 
 Optimal red-blue pebbling is PSPACE-complete in general, so every
 exhaustive probe is one bad instance away from running forever.  This
-module provides the *mechanism* half of resource governance (the policy
-half — fault policies, degradation ladders, worker guards — lives in
-:mod:`repro.analysis.governor`, which re-exports everything here):
+module provides resource governance for every layer (the fault policies
+and the degradation ladder that consume it live in
+:mod:`repro.analysis.faults`; :mod:`repro.analysis` re-exports the
+public names):
 
 * :class:`CancellationToken` — a deadline + memory watchdog + external
   cancel flag that hot loops poll cooperatively.  Polling is strided
@@ -22,6 +23,8 @@ half — fault policies, degradation ladders, worker guards — lives in
   the best incumbent schedule found so far (``upper_bound`` is its
   simulated cost), an admissible ``lower_bound`` from the open frontier,
   the termination reason, and the search statistics.
+* :func:`install_rlimit` — the process-level backstop pool workers
+  install before evaluating probes under a memory cap.
 
 Everything is inert by default: with no token installed, every poll site
 reduces to a ``None`` check and behavior is byte-identical to the
@@ -42,7 +45,7 @@ from .schedule import Schedule
 
 __all__ = ["REASONS", "SOURCES", "CancellationToken", "AnytimeResult",
            "TokenBucket", "chained_token", "current_token", "governed",
-           "process_rss_mb"]
+           "process_rss_mb", "install_rlimit", "RLIMIT_HEADROOM"]
 
 #: Termination reasons a governed search can end with.  ``"exact"`` means
 #: the search completed; everything else names the guard that stopped it.
@@ -74,6 +77,44 @@ def process_rss_mb() -> Optional[float]:
         return rss_kb / 1024.0
     except (ImportError, OSError):  # pragma: no cover - platform dependent
         return None
+
+
+#: Address-space headroom multiplier for :func:`install_rlimit`: the RSS
+#: watchdog is the precise guard; the rlimit is a backstop against runaway
+#: native allocations the cooperative poll never sees, so it sits well
+#: above the watchdog threshold to avoid spurious ``MemoryError`` from
+#: ordinary interpreter overhead and arena fragmentation.
+RLIMIT_HEADROOM = 4.0
+
+
+def install_rlimit(mem_limit_mb: Optional[float],
+                   headroom: float = RLIMIT_HEADROOM) -> bool:
+    """Install a hard address-space cap in *this* process (pool workers).
+
+    Sets ``RLIMIT_AS`` to ``mem_limit_mb * headroom`` MiB — but never
+    *raises* an existing tighter limit.  Returns ``True`` when a limit
+    was installed, ``False`` when ``mem_limit_mb`` is ``None`` or the
+    platform refuses (no :mod:`resource` module, or the kernel rejects
+    the value); failure is silent by design — the cooperative RSS
+    watchdog remains the primary guard either way.
+    """
+    if mem_limit_mb is None:
+        return False
+    try:
+        import resource
+    except ImportError:  # pragma: no cover - non-POSIX
+        return False
+    limit = int(mem_limit_mb * headroom * 1024 * 1024)
+    try:
+        soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+        for cur in (soft, hard):
+            if cur != resource.RLIM_INFINITY and cur < limit:
+                return False  # an existing tighter cap wins
+        new_hard = hard if hard != resource.RLIM_INFINITY else limit
+        resource.setrlimit(resource.RLIMIT_AS, (limit, max(limit, new_hard)))
+    except (ValueError, OSError):  # pragma: no cover - platform-dependent
+        return False
+    return True
 
 
 class CancellationToken:

@@ -31,14 +31,18 @@ with deliberately boring machinery:
   same live set.
 
 Records are keyed by the repo's existing content addresses —
-``Scheduler.cache_key()`` and :func:`graph_fingerprint` (the exact
-fingerprint ``SweepEngine.graph_key`` has always journaled, extracted
-here so every layer agrees byte-for-byte) — plus the budget.  A probe
-record stores the cost, the degraded flag, the provenance rung
-(``exact`` / ``anytime`` / ``fallback`` / ``quarantined``, see
-:data:`repro.analysis.faults.PROVENANCES`), an optional certified lower
-bound, and optionally the schedule's move list; ``kind="repro"`` records
-carry fuzzer counterexample documents instead.
+``Scheduler.cache_key()`` and :func:`graph_fingerprint` (the
+fingerprint ``SweepEngine.graph_key`` delegates to, so every layer
+agrees byte-for-byte) — plus the budget.  A probe record stores the
+cost, the degraded flag, the provenance rung (``exact`` / ``anytime``
+/ ``fallback`` / ``quarantined``, see :data:`PROVENANCES`), an
+optional certified lower bound, and optionally the schedule's move
+list; ``kind="repro"`` records carry fuzzer counterexample documents
+instead.
+
+The store is the only place a probe result crosses runs or processes.
+:meth:`ResultStore.import_journal` folds the JSON probe journal of
+earlier releases (``"wrbpg-sweep-checkpoint"``) into it once.
 
 Merge semantics are deterministic and monotone: for one key the store
 keeps the *most exact* record (``exact`` beats ``anytime`` beats
@@ -78,11 +82,17 @@ except ImportError:  # pragma: no cover - non-posix
 #: Record kinds a store can hold.
 KINDS = ("probe", "repro")
 
-#: Provenance rungs, most to least exact (mirrors
-#: ``repro.analysis.faults.PROVENANCES``; duplicated so the core store
-#: has no analysis import).
-_PROVENANCES = ("exact", "anytime", "fallback", "quarantined")
-_RANK = {p: i for i, p in enumerate(reversed(_PROVENANCES))}
+#: Where a recorded probe value came from, most to least exact.  The
+#: degradation ladder moves down: ``"exact"`` (ungoverned or completed
+#: search), ``"anytime"`` (certified ``[lb, ub]`` bracket, value = ub),
+#: ``"fallback"`` (greedy upper bound after timeout/state guard),
+#: ``"quarantined"`` (fallback after a failed audit).
+PROVENANCES = ("exact", "anytime", "fallback", "quarantined")
+_RANK = {p: i for i, p in enumerate(reversed(PROVENANCES))}
+
+#: Format tag of the probe journal earlier releases wrote
+#: (:meth:`ResultStore.import_journal` reads it; nothing writes it).
+JOURNAL_FORMAT = "wrbpg-sweep-checkpoint"
 
 #: Named crash points of the commit and compaction protocols, in
 #: protocol order.  ``commit-post-fsync`` is the commit point: a crash
@@ -110,9 +120,8 @@ _SEG_SUFFIX = ".log"
 def graph_fingerprint(cdag: CDAG) -> str:
     """Stable content identity of a graph: name, node count, and a hash
     of the weighted structure — safe across processes and runs (unlike
-    ``id``).  This is byte-identical to what ``SweepEngine.graph_key``
-    has always journaled into checkpoints; the engine now delegates
-    here, so checkpoint, store, and oracle agree on one address."""
+    ``id``).  ``SweepEngine.graph_key`` delegates here, so the engine,
+    the store, and the oracle agree on one address."""
     h = hashlib.sha1()
     for v in sorted(cdag, key=repr):
         h.update(repr((v, cdag.weight(v),
@@ -148,7 +157,7 @@ class StoreRecord:
     budget: Optional[int]  #: probed budget (None = graph default)
     cost: float = math.nan  #: reported cost (``inf`` = infeasible)
     degraded: bool = False  #: value is not the strategy's true optimum
-    provenance: str = "exact"  #: ladder rung, see ``_PROVENANCES``
+    provenance: str = "exact"  #: ladder rung, see :data:`PROVENANCES`
     lb: Optional[float] = None  #: certified lower bound (anytime bracket)
     schedule: Optional[tuple] = None  #: ``((kind, node), ...)`` move list
     doc: Optional[dict] = None  #: embedded document (``kind="repro"``)
@@ -159,7 +168,7 @@ class StoreRecord:
 
     def probe_value(self) -> Tuple[float, bool, str, Optional[float]]:
         """The ``(cost, degraded, provenance, lb)`` tuple the sweep
-        layer's caches and checkpoints speak natively."""
+        layer's caches speak natively."""
         return (self.cost, self.degraded, self.provenance, self.lb)
 
 
@@ -205,7 +214,12 @@ def _encode_record(record: StoreRecord) -> bytes:
 def _decode_payload(payload: bytes) -> StoreRecord:
     """Validate and decode one checksummed payload (raises ValueError on
     any schema violation — the caller quarantines)."""
-    obj = json.loads(payload)
+    return _decode_obj(json.loads(payload))
+
+
+def _decode_obj(obj) -> StoreRecord:
+    """Validate and decode one record object (raises ValueError naming
+    the offending field)."""
     if not isinstance(obj, dict):
         raise ValueError("record payload is not an object")
     kind = obj.get("kind")
@@ -232,8 +246,8 @@ def _decode_payload(payload: bytes) -> StoreRecord:
     if not isinstance(degraded, bool):
         raise ValueError(f"degraded: expected a boolean, got {degraded!r}")
     provenance = obj.get("provenance", "fallback" if degraded else "exact")
-    if provenance not in _PROVENANCES:
-        raise ValueError(f"provenance: expected one of {_PROVENANCES}, "
+    if provenance not in PROVENANCES:
+        raise ValueError(f"provenance: expected one of {PROVENANCES}, "
                          f"got {provenance!r}")
     if degraded == (provenance == "exact"):
         raise ValueError(f"provenance {provenance!r} inconsistent with "
@@ -559,7 +573,7 @@ class ResultStore:
     def probe_entries(self) -> Dict[Tuple[str, str, int], tuple]:
         """Every probe record as the ``(scheduler, graph, budget) ->
         (cost, degraded, provenance, lb)`` mapping the sweep layer's
-        seeds and checkpoints use."""
+        seeds use."""
         return {(r.scheduler, r.graph, r.budget): r.probe_value()
                 for r in self._index.values()
                 if r.kind == "probe" and r.budget is not None}
@@ -602,7 +616,7 @@ class ResultStore:
         if provenance is None:
             provenance = "fallback" if degraded else "exact"
 
-        def num(v):  # keep exact int costs as ints (checkpoint convention)
+        def num(v):  # keep exact int costs as ints
             return v if isinstance(v, int) and not isinstance(v, bool) \
                 else float(v)
         self._put(StoreRecord(
@@ -619,16 +633,43 @@ class ResultStore:
         self._put(StoreRecord(kind="repro", scheduler=scheduler,
                               graph=graph, budget=budget, doc=dict(doc)))
 
-    def absorb_probes(self, entries: Mapping) -> None:
-        """Migrate a checkpoint journal's ``(scheduler, graph, budget) ->
-        (cost, degraded[, provenance, lb])`` entries into the store (the
-        merge rule keeps whichever side is more exact), then commit."""
-        for (s, g, b), value in sorted(entries.items()):
-            cost, degraded = value[0], bool(value[1])
-            provenance = value[2] if len(value) >= 4 else None
-            lb = value[3] if len(value) >= 4 else None
-            self.put_probe(s, g, b, cost, degraded, provenance, lb)
+    def import_journal(self, path) -> int:
+        """Fold a probe journal written by earlier releases into the
+        store, then commit; returns the number of entries read.
+
+        The journal is one JSON document, ``{"format":
+        "wrbpg-sweep-checkpoint", "version": 1, "entries": [...]}``, each
+        entry a probe ``{"scheduler", "graph", "budget", "cost"[,
+        "degraded", "provenance", "lb"]}`` with ``"cost": "inf"`` for
+        infeasible budgets.  Entries without ``provenance`` read as
+        ``exact`` (or ``fallback`` when ``degraded``).  The merge rule
+        keeps whichever side is more exact per key.  The file is only
+        read, never written; a malformed document raises
+        :class:`ValueError` naming the first bad entry, before anything
+        is staged."""
+        with open(path) as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, dict) or doc.get("format") != JOURNAL_FORMAT \
+                or doc.get("version") != 1:
+            raise ValueError(f"{path}: not a {JOURNAL_FORMAT} version 1 "
+                             f"document")
+        entries = doc.get("entries")
+        if not isinstance(entries, list):
+            raise ValueError(f"{path}: entries: expected a list")
+        records = []
+        for i, entry in enumerate(entries):
+            try:
+                record = _decode_obj({**entry, "kind": "probe"}
+                                     if isinstance(entry, dict) else entry)
+                if record.budget is None:
+                    raise ValueError("budget: missing")
+            except ValueError as exc:
+                raise ValueError(f"{path}: entries[{i}]: {exc}") from exc
+            records.append(record)
+        for record in records:
+            self._put(record)
         self.flush()
+        return len(records)
 
     def flush(self) -> None:
         """Commit the pending batch: append under the writer lock, fsync

@@ -2,7 +2,7 @@
 
     python -m repro.experiments [output_dir] [--jobs N] [--profile]
                                 [--timeout SEC] [--retries N]
-                                [--checkpoint FILE]
+                                [--store DIR]
 
 Regenerates Table 1 and Figures 5-8, printing each and writing the text
 artifacts to ``output_dir`` (default ``./paper_artifacts``).  The sweep
@@ -14,8 +14,9 @@ searches Table 1 runs are cache hits by the time Fig. 5 needs them;
 The fault-tolerance flags make multi-hour regenerations survivable:
 ``--timeout``/``--retries`` guard each cost probe (timed-out probes
 degrade to the scheduler's designated fallback and are reported in the
-profile), and ``--checkpoint FILE`` journals completed probes so a killed
-run resumes where it stopped instead of restarting from zero.
+profile), and ``--store DIR`` writes completed probes through to a
+durable result store so a killed run resumes where it stopped instead of
+restarting from zero.
 
 The governance flags bound each probe's resources cooperatively:
 ``--deadline SEC`` and ``--mem-limit MB`` arm a per-probe cancellation
@@ -41,17 +42,15 @@ from .table1 import render_table1, run_table1
 
 def main(out_dir: str = "paper_artifacts", jobs: int = 1,
          profile: bool = False, timeout=None, retries: int = 0,
-         checkpoint=None, audit: str = "off", deadline=None,
-         mem_limit_mb=None, anytime: bool = False,
-         jitter_seed=None, shared_bounds: bool = False,
+         audit: str = "off", deadline=None, mem_limit_mb=None,
+         anytime: bool = False, jitter_seed=None,
          monotone_probes: bool = True, store=None) -> None:
     out = pathlib.Path(out_dir)
     out.mkdir(exist_ok=True)
     eng = SweepEngine(jobs=jobs, timeout=timeout, retries=retries,
-                      checkpoint=checkpoint, audit=audit,
-                      deadline=deadline, mem_limit_mb=mem_limit_mb,
-                      anytime=anytime, jitter_seed=jitter_seed,
-                      shared_bounds=shared_bounds,
+                      audit=audit, deadline=deadline,
+                      mem_limit_mb=mem_limit_mb, anytime=anytime,
+                      jitter_seed=jitter_seed,
                       monotone_probes=monotone_probes, store=store)
     tasks = [
         ("table1", lambda: render_table1(run_table1(engine=eng))),
@@ -70,7 +69,7 @@ def main(out_dir: str = "paper_artifacts", jobs: int = 1,
             print(f"\n{'=' * 72}\n{text}\n"
                   f"[{name}: {dt:.1f}s -> {out / name}.txt]")
     finally:
-        eng.close()  # flush partial progress + release store/segments
+        eng.close()  # commit partial progress + release the store
     if profile:
         print(f"\n{'=' * 72}\n{eng.stats.report()}")
 
@@ -88,9 +87,6 @@ def _parse_args(argv=None):
                     help="per-probe wall-clock limit (degrade on timeout)")
     ap.add_argument("--retries", type=int, default=0, metavar="N",
                     help="retries for transient probe failures")
-    ap.add_argument("--checkpoint", metavar="FILE",
-                    help="journal completed probes to FILE; resume if it "
-                         "exists")
     ap.add_argument("--audit",
                     choices=["off", "bounds", "replay", "differential"],
                     default="off",
@@ -106,9 +102,6 @@ def _parse_args(argv=None):
                          "[lb, ub] brackets instead of greedy fallbacks")
     ap.add_argument("--jitter-seed", type=int, default=None, metavar="N",
                     help="seed the retry-backoff jitter RNG")
-    ap.add_argument("--shared-bounds", action="store_true",
-                    help="cross-worker shared-memory bound store for "
-                         "concurrent oracle probes")
     ap.add_argument("--no-monotone-probes", action="store_true",
                     help="disable high-budget-first oracle probe ordering")
     ap.add_argument("--store", metavar="DIR",
@@ -120,10 +113,8 @@ def _parse_args(argv=None):
 if __name__ == "__main__":
     _args = _parse_args()
     main(_args.output_dir, jobs=_args.jobs, profile=_args.profile,
-         timeout=_args.timeout, retries=_args.retries,
-         checkpoint=_args.checkpoint, audit=_args.audit,
+         timeout=_args.timeout, retries=_args.retries, audit=_args.audit,
          deadline=_args.deadline, mem_limit_mb=_args.mem_limit,
          anytime=_args.anytime, jitter_seed=_args.jitter_seed,
-         shared_bounds=_args.shared_bounds,
          monotone_probes=not _args.no_monotone_probes,
          store=_args.store)

@@ -124,7 +124,7 @@ class Scheduler(abc.ABC):
 
     def cache_key(self) -> str:
         """Stable identity of this strategy *configuration* for persisted
-        probe caches (sweep checkpoints, see :mod:`repro.analysis.faults`).
+        probe caches (the durable result store, see :mod:`repro.core.store`).
 
         Two scheduler instances with the same cache key must produce the
         same cost on every (graph, budget) — a resumed sweep trusts saved

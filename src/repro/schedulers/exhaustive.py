@@ -251,41 +251,23 @@ class ExhaustiveScheduler(Scheduler):
         ``"anytime_results"`` (budget → :class:`AnytimeResult`), where the
         sweep engine's provenance ladder picks it up.
 
-        A ``"shared_store"`` memo key (the segment name of a
-        :class:`~repro.core.shared_bounds.SharedBoundStore`) survives
-        graph changes and attaches every table built here to the
-        cross-worker bound store.
-
         A ``"result_store"`` memo key (an open
         :class:`~repro.core.store.ResultStore` or a store directory
-        path) likewise survives graph changes and makes the oracle
-        durable: probes with a committed ``exact`` record are served
-        from the store without searching (and seed the transposition
-        table), and every fresh exact cost — including infeasibility —
-        is written back through it.
+        path) survives graph changes and makes the oracle durable:
+        probes with a committed ``exact`` record are served from the
+        store without searching (and seed the transposition table), and
+        every fresh exact cost — including infeasibility — is written
+        back through it.
         """
         if self._anytime_mode():
             return self._cost_many_anytime(cdag, budgets, memo)
         if self.core == "legacy":
             return super().cost_many(cdag, budgets, memo=memo)
         from ..core.exceptions import InfeasibleBudgetError
-        state = memo if memo is not None else {}
-        mode = (self.require_blue_sinks, self.final_red,
-                self.use_heuristic, self.use_dominance)
-        if state.get("graph") is not cdag or state.get("mode") != mode:
-            shared_name = state.get("shared_store")
-            store_ref = state.get("result_store")
-            state.clear()
-            state["graph"] = cdag
-            state["mode"] = mode
-            if shared_name:
-                state["shared_store"] = shared_name
-            if store_ref is not None:
-                state["result_store"] = store_ref
+        state = self._memo_state(memo, cdag)
         table = state.get("table")
         if table is None:
-            table = self._make_table(cdag, state.get("shared_store"))
-            state["table"] = table
+            table = state["table"] = self._make_table(cdag)
         store, skey, gkey = self._store_keys(state, cdag)
         # One solve per *distinct* budget (batched service dispatches may
         # fan duplicate budgets into one call), and a store read-through
@@ -322,27 +304,30 @@ class ExhaustiveScheduler(Scheduler):
         """Budgets addressable in the durable store: true positive ints."""
         return isinstance(b, int) and not isinstance(b, bool) and b > 0
 
-    def _cost_many_anytime(self, cdag: CDAG, budgets, memo) -> List[float]:
-        from ..core.exceptions import InfeasibleBudgetError
+    def _memo_state(self, memo, cdag: CDAG) -> dict:
+        """The ``cost_many`` memo, reset when the graph or search mode
+        changed since its last use (the ``"result_store"`` key
+        survives the reset)."""
         state = memo if memo is not None else {}
         mode = (self.require_blue_sinks, self.final_red,
                 self.use_heuristic, self.use_dominance)
         if state.get("graph") is not cdag or state.get("mode") != mode:
-            shared_name = state.get("shared_store")
             store_ref = state.get("result_store")
             state.clear()
             state["graph"] = cdag
             state["mode"] = mode
-            if shared_name:
-                state["shared_store"] = shared_name
             if store_ref is not None:
                 state["result_store"] = store_ref
+        return state
+
+    def _cost_many_anytime(self, cdag: CDAG, budgets, memo) -> List[float]:
+        from ..core.exceptions import InfeasibleBudgetError
+        state = self._memo_state(memo, cdag)
         table = None
         if self.core == "search" and len(cdag) <= self.max_nodes:
             table = state.get("table")
             if table is None:
-                table = self._make_table(cdag, state.get("shared_store"))
-                state["table"] = table
+                table = state["table"] = self._make_table(cdag)
         store, skey, gkey = self._store_keys(state, cdag)
         # Same dedup + store pre-pass as the exact path: committed exact
         # records seed the table before any fresh (governed) search runs.
@@ -390,8 +375,8 @@ class ExhaustiveScheduler(Scheduler):
     def _store_keys(self, state, cdag: CDAG):
         """Resolve the memo's durable result store (open handle or
         directory path) plus this probe family's content addresses.
-        Best-effort like the shared-bound attach: an unopenable path
-        degrades to local-only, never raises."""
+        Best-effort: an unopenable path degrades to local-only, never
+        raises."""
         ref = state.get("result_store")
         if ref is None:
             return None, None, None
@@ -424,23 +409,10 @@ class ExhaustiveScheduler(Scheduler):
                 f"{self.max_nodes}; use a dataflow-specific scheduler",
                 size=len(cdag), limit=self.max_nodes)
 
-    def _make_table(self, cdag: CDAG,
-                    shared_name: Optional[str] = None) -> TranspositionTable:
-        shared = None
-        if shared_name:
-            # Best-effort: a vanished segment (owner already unlinked) or
-            # a platform without shared memory degrades to local-only.
-            try:
-                from ..core.shared_bounds import attach_cached, bound_group_key
-                store = attach_cached(shared_name)
-                shared = store.client(bound_group_key(
-                    cdag, require_blue_sinks=self.require_blue_sinks,
-                    final_red=self.final_red))
-            except Exception:
-                shared = None
-        problem = SearchProblem(cdag, require_blue_sinks=self.require_blue_sinks,
-                                final_red=self.final_red)
-        return TranspositionTable(problem, shared=shared)
+    def _make_table(self, cdag: CDAG) -> TranspositionTable:
+        return TranspositionTable(SearchProblem(
+            cdag, require_blue_sinks=self.require_blue_sinks,
+            final_red=self.final_red))
 
     def _greedy_bracket(self, cdag: CDAG, b: int, lb, reason: str,
                         stats) -> AnytimeResult:
@@ -521,10 +493,6 @@ class ExhaustiveScheduler(Scheduler):
         # the frontier bound.  Never record inexact values in the table —
         # they would poison future exact probes.
         lb = max(res.lower_bound, table.lower_bound(b))
-        # ... but do publish the certified bracket to the cross-worker
-        # store (kinds UB/LB, kept apart from exact records): a sibling
-        # probing nearby budgets prunes with our incumbent immediately.
-        table.publish_bracket(b, lb, res.upper_bound)
         if res.schedule is None:
             return self._greedy_bracket(cdag, b, lb, res.reason, res.stats)
         if lb > res.lower_bound:

@@ -643,24 +643,17 @@ class TranspositionTable:
     is orders of magnitude rarer than bound probes — and return exactly
     what the full scan would, even for (impossible, but unverified)
     non-monotone result sets.
-
-    ``shared`` optionally attaches a
-    :class:`~repro.core.shared_bounds.BoundClient`: exact results are
-    written through to the cross-process store, and bound queries take
-    the tighter of the local overlay and the shared scan.
     """
 
     __slots__ = ("problem", "h_cache", "results", "stats", "probes",
-                 "shared", "_budgets", "_costs", "_prefix_min",
-                 "_suffix_max")
+                 "_budgets", "_costs", "_prefix_min", "_suffix_max")
 
-    def __init__(self, problem: SearchProblem, shared=None):
+    def __init__(self, problem: SearchProblem):
         self.problem = problem
         self.h_cache: Dict[Tuple[int, int], int] = {}
         self.results: Dict[int, int] = {}
         self.stats = SearchStats()
         self.probes = 0
-        self.shared = shared
         self._budgets: List[int] = []   # sorted solved budgets
         self._costs: List[int] = []     # aligned with _budgets
         self._prefix_min: List[float] = [_INF]  # min cost over budgets < i
@@ -671,35 +664,19 @@ class TranspositionTable:
         return len(self.h_cache) + len(self.results)
 
     def lookup(self, budget: int) -> Optional[int]:
-        """Exact transposition hit, if this budget was already solved
-        (locally or by any worker publishing to the shared store)."""
-        hit = self.results.get(budget)
-        if hit is None and self.shared is not None:
-            hit = self.shared.lookup(budget)
-            if hit is not None:
-                self._record_local(budget, hit)
-        return hit
+        """Exact transposition hit, if this budget was already solved."""
+        return self.results.get(budget)
 
     def lower_bound(self, budget: int) -> int:
         """Optimal cost is non-increasing in the budget, so any solved
         budget ≥ this one bounds the optimum from below."""
-        lb = self._suffix_max[bisect.bisect_left(self._budgets, budget)]
-        if self.shared is not None:
-            slb = self.shared.lower_bound(budget)
-            if slb > lb:
-                lb = slb
-        return lb
+        return self._suffix_max[bisect.bisect_left(self._budgets, budget)]
 
     def upper_bound(self, budget: int) -> float:
         """Any solved budget ≤ this one bounds the optimum from above."""
-        ub = self._prefix_min[bisect.bisect_right(self._budgets, budget)]
-        if self.shared is not None:
-            sub = self.shared.upper_bound(budget)
-            if sub < ub:
-                ub = sub
-        return ub
+        return self._prefix_min[bisect.bisect_right(self._budgets, budget)]
 
-    def _record_local(self, budget: int, cost: int) -> None:
+    def record(self, budget: int, cost: int) -> None:
         known = self.results.get(budget)
         self.results[budget] = cost
         if known == cost:
@@ -721,19 +698,6 @@ class TranspositionTable:
             smax[i] = c if c > smax[i + 1] else smax[i + 1]
         self._prefix_min = pmin
         self._suffix_max = smax
-
-    def record(self, budget: int, cost: int) -> None:
-        self._record_local(budget, cost)
-        if self.shared is not None:
-            self.shared.record_exact(budget, cost)
-
-    def publish_bracket(self, budget: int, lb: float, ub: float) -> None:
-        """Share an *inexact* probe's certified bracket: the incumbent's
-        achievable cost bounds budgets ≥ ``budget`` from above and the
-        frontier bound bounds budgets ≤ ``budget`` from below.  Never
-        stored locally — inexact values must not poison exact results."""
-        if self.shared is not None:
-            self.shared.record_bracket(budget, lb, ub)
 
 
 def _expand_moves(problem: SearchProblem, evict_mask: int,

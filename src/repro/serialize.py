@@ -15,23 +15,11 @@ in a file, diffable and replayable.  The format is deliberately dumb JSON:
 
 Node ids survive round-trips for the tuple/str/int names this library
 uses (tuples are stored as JSON arrays and restored as tuples).
-
-A third document kind journals completed sweep probes so a killed sweep
-can resume (see :class:`repro.analysis.faults.SweepCheckpoint`):
-
-.. code-block:: json
-
-    {"format": "wrbpg-sweep-checkpoint", "version": 1,
-     "entries": [{"scheduler": "OptimalDWTScheduler",
-                  "graph": "DWT(256,8)#V1409#W22544",
-                  "budget": 160, "cost": 18432, "degraded": false}, ...]}
-
-Infeasible probes store ``"cost": "inf"`` (strict JSON has no infinity).
 Decoders validate every field and raise :class:`InvalidScheduleError`
 naming the offending entry, so a truncated or hand-edited file fails
-loudly instead of poisoning a resumed sweep.
+loudly.
 
-A fourth document kind is the **audit repro file**: a minimal
+A third document kind is the **audit repro file**: a minimal
 counterexample the fuzzer (:mod:`repro.analysis.fuzz`) shrank a failing
 case down to, self-contained enough to replay deterministically:
 
@@ -50,7 +38,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict
 
 from .core.cdag import CDAG
 from .core.exceptions import InvalidScheduleError
@@ -59,7 +47,6 @@ from .core.schedule import Schedule
 
 CDAG_FORMAT = "wrbpg-cdag"
 SCHEDULE_FORMAT = "wrbpg-schedule"
-CHECKPOINT_FORMAT = "wrbpg-sweep-checkpoint"
 REPRO_FORMAT = "wrbpg-audit-repro"
 VERSION = 1
 
@@ -166,135 +153,11 @@ def loads_schedule(text: str) -> Schedule:
 
 
 # --------------------------------------------------------------------- #
-# Sweep checkpoints: (scheduler key, graph key, budget) -> (cost, degraded)
-
-#: (cost, degraded, provenance, lb) — see ``repro.analysis.faults``.
-ProbeEntries = Dict[Tuple[str, str, int], Tuple[float, bool, str,
-                                                Optional[float]]]
-
-#: Valid probe provenance tags (mirrors ``repro.analysis.faults.
-#: PROVENANCES``; duplicated here so the codec has no analysis import).
-_PROVENANCES = ("exact", "anytime", "fallback", "quarantined")
+# Audit repro files: a minimal failing (scheduler, graph, budget) probe
 
 
 def _encode_cost(cost: float) -> Any:
     return "inf" if math.isinf(cost) else cost
-
-
-def checkpoint_to_dict(entries: Mapping) -> dict:
-    """Encode probe entries (sorted for stable, diffable files).
-
-    Entry values are ``(cost, degraded[, provenance, lb])``; the two
-    governance fields are emitted only when they carry information beyond
-    the degraded flag (``provenance`` other than the flag's implied
-    ``"exact"``/``"fallback"``, or a known lower bound), so checkpoints
-    written by ungoverned sweeps stay byte-identical to the historical
-    format.
-    """
-    encoded = []
-    for (s, g, b), value in sorted(entries.items()):
-        cost, degraded = value[0], bool(value[1])
-        provenance = value[2] if len(value) >= 4 else None
-        lb = value[3] if len(value) >= 4 else None
-        entry: Dict[str, Any] = {"scheduler": s, "graph": g, "budget": b,
-                                 "cost": _encode_cost(cost),
-                                 "degraded": degraded}
-        implied = "fallback" if degraded else "exact"
-        if provenance is not None and provenance != implied:
-            entry["provenance"] = provenance
-        if lb is not None:
-            entry["lb"] = _encode_cost(lb)
-        encoded.append(entry)
-    return {
-        "format": CHECKPOINT_FORMAT,
-        "version": VERSION,
-        "entries": encoded,
-    }
-
-
-def checkpoint_from_dict(data: dict) -> ProbeEntries:
-    if data.get("format") != CHECKPOINT_FORMAT:
-        raise InvalidScheduleError(
-            f"not a {CHECKPOINT_FORMAT} document: {data.get('format')!r}")
-    if data.get("version") != VERSION:
-        raise InvalidScheduleError(
-            f"unsupported version {data.get('version')!r}")
-    raw = data.get("entries")
-    if not isinstance(raw, list):
-        raise InvalidScheduleError(
-            f"entries: expected a list, got {type(raw).__name__}")
-    entries: ProbeEntries = {}
-    for i, e in enumerate(raw):
-        if not isinstance(e, dict):
-            raise InvalidScheduleError(f"entries[{i}]: expected an object")
-        sched, graph = e.get("scheduler"), e.get("graph")
-        if not isinstance(sched, str) or not sched:
-            raise InvalidScheduleError(
-                f"entries[{i}].scheduler: expected a non-empty string, "
-                f"got {sched!r}")
-        if not isinstance(graph, str) or not graph:
-            raise InvalidScheduleError(
-                f"entries[{i}].graph: expected a non-empty string, "
-                f"got {graph!r}")
-        budget = e.get("budget")
-        if not isinstance(budget, int) or isinstance(budget, bool) \
-                or budget <= 0:
-            raise InvalidScheduleError(
-                f"entries[{i}].budget: expected a positive integer, "
-                f"got {budget!r}")
-        cost = e.get("cost")
-        if cost == "inf":
-            cost = math.inf
-        elif not isinstance(cost, (int, float)) or isinstance(cost, bool) \
-                or not math.isfinite(cost) or cost < 0:
-            raise InvalidScheduleError(
-                f"entries[{i}].cost: expected a non-negative number or "
-                f"'inf', got {cost!r}")
-        degraded = e.get("degraded", False)
-        if not isinstance(degraded, bool):
-            raise InvalidScheduleError(
-                f"entries[{i}].degraded: expected a boolean, "
-                f"got {degraded!r}")
-        provenance = e.get("provenance", "fallback" if degraded else "exact")
-        if provenance not in _PROVENANCES:
-            raise InvalidScheduleError(
-                f"entries[{i}].provenance: expected one of "
-                f"{_PROVENANCES}, got {provenance!r}")
-        if degraded == (provenance == "exact"):
-            raise InvalidScheduleError(
-                f"entries[{i}]: provenance {provenance!r} inconsistent "
-                f"with degraded={degraded}")
-        lb = e.get("lb")
-        if lb is not None:
-            if lb == "inf":
-                lb = math.inf
-            elif not isinstance(lb, (int, float)) or isinstance(lb, bool) \
-                    or not math.isfinite(lb) or lb < 0:
-                raise InvalidScheduleError(
-                    f"entries[{i}].lb: expected a non-negative number or "
-                    f"'inf', got {lb!r}")
-            if lb > cost:
-                raise InvalidScheduleError(
-                    f"entries[{i}]: lower bound {lb!r} exceeds the "
-                    f"recorded cost {cost!r} — corrupt bracket")
-        key = (sched, graph, budget)
-        if key in entries:
-            raise InvalidScheduleError(
-                f"entries[{i}]: duplicate probe {key!r}")
-        entries[key] = (cost, degraded, provenance, lb)
-    return entries
-
-
-def dumps_checkpoint(entries: Mapping, **json_kwargs) -> str:
-    return json.dumps(checkpoint_to_dict(entries), **json_kwargs)
-
-
-def loads_checkpoint(text: str) -> ProbeEntries:
-    return checkpoint_from_dict(json.loads(text))
-
-
-# --------------------------------------------------------------------- #
-# Audit repro files: a minimal failing (scheduler, graph, budget) probe
 
 
 def repro_to_dict(cdag: CDAG, scheduler_key: str, budget,

@@ -35,7 +35,7 @@ Robustness invariants (each pinned by a test):
   bracket is pushed immediately (``final: false``) and the exact answer
   follows (``final: true``) once a background :meth:`~repro.analysis.
   engine.SweepEngine.probe` with ``refine=True`` lands — a refine can
-  never serve a *stale* bracket over a journaled exact value because
+  never serve a *stale* bracket over a stored exact value because
   :meth:`~repro.analysis.engine.CachedCostFn.refine` treats only exact
   records as hits.
 * **graceful lifecycle** — SIGTERM stops accepting work, waits for
@@ -228,8 +228,6 @@ class SchedulingDaemon:
         if self._close_engine:
             self.engine.close()
         else:
-            with contextlib.suppress(Exception):
-                self.engine.flush_checkpoint()
             store = getattr(self.engine, "store", None)
             if store is not None:
                 with contextlib.suppress(Exception):

@@ -310,7 +310,7 @@ class TestEngineMap:
         assert result == scheduler_min_memory(OptimalDWTScheduler(),
                                               dwt_graph(4, 2, weights=equal()))
         assert stats.searches == 1 and stats.probes > 0
-        # the worker exports its evaluated probes for checkpoint merging
+        # the worker exports its evaluated probes for the parent to merge
         # (7 fields since the governance layer: + provenance, lb)
         assert probes and all(len(p) == 7 for p in probes)
         assert all(p[5] == "exact" and p[6] is None for p in probes)
@@ -371,33 +371,6 @@ class TestCloseHardening:
         eng = SweepEngine(store=tmp_path / "st")
         eng.close()
         eng.close()
-
-    def test_close_before_first_sweep_flushes_checkpoint(self, tmp_path):
-        eng = SweepEngine(store=tmp_path / "st",
-                          checkpoint=tmp_path / "ckpt.json")
-        eng.close()
-        # A later engine on the same paths sees a consistent (empty)
-        # store rather than a half-built one.
-        eng2 = SweepEngine(store=tmp_path / "st",
-                           checkpoint=tmp_path / "ckpt.json")
-        assert eng2.store is not None and len(eng2.store) == 0
-        eng2.close()
-
-    def test_failing_checkpoint_flush_warns_but_still_releases(self,
-                                                               tmp_path):
-        eng = SweepEngine(store=tmp_path / "st",
-                          checkpoint=tmp_path / "ckpt.json")
-
-        class Boom:
-            entries = {}
-
-            def flush(self):
-                raise OSError("disk gone")
-
-        eng.checkpoint = Boom()
-        with pytest.warns(RuntimeWarning, match="checkpoint flush"):
-            eng.close()
-        assert eng.store is None  # store was still detached/closed
 
     def test_failing_store_close_warns_not_raises(self):
         eng = SweepEngine()

@@ -16,19 +16,15 @@ The invariants under test:
 
 from __future__ import annotations
 
-import json
 import math
 import threading
 import time
 
 import pytest
 
-from repro import serialize
 from repro.analysis import (AnytimeResult, CancellationToken, FaultPolicy,
-                            SweepCheckpoint, SweepEngine, call_with_timeout,
-                            current_token, fuzz, governed, install_rlimit,
-                            process_rss_mb)
-from repro.analysis.faults import normalize_probe
+                            SweepEngine, call_with_timeout, current_token,
+                            fuzz, governed, install_rlimit, process_rss_mb)
 from repro.core import ProbeCancelledError, simulate
 from repro.graphs import dwt_graph
 from repro.schedulers import ExhaustiveScheduler
@@ -302,63 +298,35 @@ def test_governed_min_memory_is_sound_or_inconclusive():
 
 
 # --------------------------------------------------------------------- #
-# Checkpoints: anytime + quarantined probes survive a resume round-trip
+# Store resume: anytime probes keep their provenance and bracket
 
 
-def test_checkpoint_round_trip_preserves_provenance_and_lb(tmp_path):
-    path = str(tmp_path / "gov.json")
-    ck = SweepCheckpoint(path, every=100)
-    ck.record("S", "G", 8, 40.0)
-    ck.record("S", "G", 16, 36.0, degraded=True, provenance="anytime",
-              lb=30.0)
-    ck.record("S", "G", 32, 50.0, degraded=True, provenance="quarantined")
-    ck.flush()
-    loaded = SweepCheckpoint(path)
-    assert loaded.seed("S", "G") == {
-        8: (40.0, False, "exact", None),
-        16: (36.0, True, "anytime", 30.0),
-        32: (50.0, True, "quarantined", None)}
-    # Exact probes serialize without governance keys (byte-stability of
-    # ungoverned checkpoints); inexact ones carry theirs.
-    doc = json.loads(serialize.dumps_checkpoint(loaded.entries))
-    by_budget = {e["budget"]: e for e in doc["entries"]}
-    assert "provenance" not in by_budget[8] and "lb" not in by_budget[8]
-    assert by_budget[16]["provenance"] == "anytime"
-    assert by_budget[16]["lb"] == 30.0
-    assert by_budget[32]["provenance"] == "quarantined"
-
-
-def test_checkpoint_resume_skips_anytime_probes(tmp_path):
-    path = str(tmp_path / "resume.json")
+def test_store_resume_skips_anytime_probes(tmp_path):
+    from repro.core.store import ResultStore
+    store_dir = str(tmp_path / "store")
     cdag = dwt_graph(4, 2)
-    first = SweepEngine(checkpoint=path, deadline=5.0, anytime=True)
+    first = SweepEngine(deadline=5.0, anytime=True)
     s1 = first.sweep(ExhaustiveScheduler(), cdag, [4, 8], "run1")
-    first.flush_checkpoint()
-    # Force one journaled probe to look anytime-degraded so the resume
-    # path exercises the 4-tuple round trip end to end.
-    entries = serialize.loads_checkpoint(open(path).read())
+    # Persist the run with one probe forced to look anytime-degraded, so
+    # the resume path carries the full (cost, degraded, provenance, lb)
+    # record end to end.
+    entries = dict(first._seed)
     key = next(iter(entries))
     cost = entries[key][0]
     entries[key] = (cost, True, "anytime", cost - 1.0)
-    with open(path, "w") as fh:
-        fh.write(serialize.dumps_checkpoint(entries))
+    with ResultStore(store_dir) as st:
+        for (s, g, b), value in entries.items():
+            st.put_probe(s, g, b, *value)
 
-    resumed = SweepEngine(checkpoint=path, deadline=5.0, anytime=True)
-    s2 = resumed.sweep(ExhaustiveScheduler(), cdag, [4, 8], "run2")
-    assert resumed.stats.evals == 0  # every probe answered by the journal
+    with SweepEngine(store=store_dir, deadline=5.0, anytime=True) as resumed:
+        s2 = resumed.sweep(ExhaustiveScheduler(), cdag, [4, 8], "run2")
+    assert resumed.stats.evals == 0  # every probe answered by the store
     assert s2.costs == s1.costs
     assert s2.degraded == (key[2],)
     assert s2.provenance_of(key[2]) == "anytime"
-    # The resumed cost fn carries the journaled bracket.
+    # The resumed cost fn carries the stored bracket.
     fn = next(iter(resumed._fns.values()))
     assert fn.bracket(key[2]) == (cost - 1.0, cost)
-
-
-def test_normalize_probe_accepts_historical_tuples():
-    assert normalize_probe((7.0, False)) == (7.0, False, "exact", None)
-    assert normalize_probe((7.0, True)) == (7.0, True, "fallback", None)
-    assert normalize_probe((7.0, True, "anytime", 5.0)) == \
-        (7.0, True, "anytime", 5.0)
 
 
 # --------------------------------------------------------------------- #

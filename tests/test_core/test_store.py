@@ -310,13 +310,53 @@ def test_open_cached_reuses_one_handle_per_path(tmp_path):
     assert open_cached(tmp_path / "st") is not a  # closed: reopen
 
 
-def test_checkpoint_migration_absorbs_both_shapes(tmp_path):
+def test_import_journal_folds_old_journals_read_only(tmp_path):
+    from repro.analysis import SweepEngine
+    old = tmp_path / "old.json"  # two-field entries, infinity as "inf"
+    old.write_text(json.dumps({
+        "format": "wrbpg-sweep-checkpoint", "version": 1,
+        "entries": [{"scheduler": "S", "graph": "G", "budget": 8,
+                     "cost": 20, "degraded": False},
+                    {"scheduler": "S", "graph": "G", "budget": 4,
+                     "cost": "inf", "degraded": False},
+                    {"scheduler": "S", "graph": "G", "budget": 6,
+                     "cost": 30, "degraded": True}]}))
+    governed = tmp_path / "governed.json"  # provenance + lb fields
+    governed.write_text(json.dumps({
+        "format": "wrbpg-sweep-checkpoint", "version": 1,
+        "entries": [{"scheduler": "S", "graph": "G", "budget": 9,
+                     "cost": 18, "degraded": True,
+                     "provenance": "anytime", "lb": 12},
+                    {"scheduler": "S", "graph": "G", "budget": 10,
+                     "cost": 17, "degraded": True,
+                     "provenance": "quarantined"}]}))
+    before = {p: p.read_bytes() for p in (old, governed)}
     s = ResultStore(tmp_path / "st")
-    s.absorb_probes({("S", "G", 8): (20, False),  # historical 2-tuple
-                     ("S", "G", 9): (18, True, "anytime", 12)})
+    assert s.import_journal(old) == 3
+    assert s.import_journal(governed) == 2
+    s.close()
+    assert {p: p.read_bytes() for p in (old, governed)} == before
     r = ResultStore(tmp_path / "st")
     assert r.get_probe("S", "G", 8) == (20, False, "exact", None)
+    assert r.get_probe("S", "G", 4) == (math.inf, False, "exact", None)
+    assert r.get_probe("S", "G", 6) == (30, True, "fallback", None)
     assert r.get_probe("S", "G", 9) == (18, True, "anytime", 12)
+    assert r.get_probe("S", "G", 10) == (17, True, "quarantined", None)
+
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "format": "wrbpg-sweep-checkpoint", "version": 1,
+        "entries": [{"scheduler": "S", "graph": "G", "budget": 11,
+                     "cost": 1},
+                    {"scheduler": "S", "graph": "G", "budget": 12,
+                     "cost": -1}]}))
+    with pytest.raises(ValueError, match=r"entries\[1\]: cost"):
+        r.import_journal(bad)
+    assert r.get_probe("S", "G", 11) is None  # nothing staged
+    r.close()
+
+    with pytest.raises(ValueError, match="store"):
+        SweepEngine(checkpoint=str(old))
 
 
 # --------------------------------------------------------------------- #
