@@ -378,8 +378,7 @@ def _spawn_serve(store_dir: str, *extra: str,
 
 
 def run_service_soak(root: str, kills: int = 2, seed: int = 0,
-                     clients: int = 3, batch_window_ms: float = 5.0,
-                     log=print) -> int:
+                     clients: int = 3, log=print) -> int:
     """SIGKILL the serving daemon under concurrent client load, restart,
     and assert the service-level durability invariants:
 
@@ -391,11 +390,6 @@ def run_service_soak(root: str, kills: int = 2, seed: int = 0,
     3. clients never hang — every receive is timeout-bounded — and a
        SIGTERM drains in-flight work and exits 0.
 
-    ``batch_window_ms > 0`` (the default) runs the daemon with
-    micro-batching enabled and mixes fused multi-budget probes into the
-    client load, so kills land inside open batch windows and in-flight
-    fused solves — the answers must stay byte-identical either way.
-
     Returns the number of kills delivered.
     """
     from ..service.protocol import ProtocolError, ServiceClient
@@ -406,10 +400,6 @@ def run_service_soak(root: str, kills: int = 2, seed: int = 0,
     tenants = ("alpha", "beta", "gamma")
     committed: set = set()
     kills = max(2, int(kills))
-    serve_args = ()
-    if batch_window_ms > 0:
-        serve_args = ("--batch-window", str(batch_window_ms),
-                      "--batch-max", "8")
 
     def hammer(idx: int, host: str, port: int, stop: threading.Event,
                mismatches: List[str]) -> None:
@@ -427,28 +417,13 @@ def run_service_soak(root: str, kills: int = 2, seed: int = 0,
                         _SERVICE_WORKLOAD[j % len(_SERVICE_WORKLOAD)]
                     gkey = graph_fingerprint(resolve_graph(spec))
                     tenant = tenants[idx % len(tenants)]
-                    if batch_window_ms > 0 and j % 3 == 2:
-                        # Fused multi-budget probe: distinct budgets of
-                        # one family answered by one shared dispatch.
-                        bs = sorted({budgets[j % len(budgets)],
-                                     budgets[(j + 1) % len(budgets)]})
-                        frames = c.probe_many(spec, strategy, bs,
-                                              tenant=tenant, id=j)
-                        checks = (zip(frames["result"]["budgets"],
-                                      frames["result"]["probes"])
-                                  if frames.get("ok") else ())
-                    else:
-                        b = budgets[j % len(budgets)]
-                        frames = c.request({
-                            "verb": "probe", "graph": spec,
-                            "strategy": strategy, "budget": b,
-                            "tenant": tenant, "id": j})
-                        last = frames[-1]
-                        checks = ([(b, last["result"])]
-                                  if last.get("ok") else ())
-                    for b, payload in checks:
-                        if not payload.get("exact"):
-                            continue
+                    b = budgets[j % len(budgets)]
+                    frame = c.request({
+                        "verb": "probe", "graph": spec,
+                        "strategy": strategy, "budget": b,
+                        "tenant": tenant, "id": j})[-1]
+                    payload = frame["result"] if frame.get("ok") else {}
+                    if payload.get("exact"):
                         key = (skey, gkey, b)
                         if payload["cost"] != expected[key]:
                             mismatches.append(
@@ -461,7 +436,7 @@ def run_service_soak(root: str, kills: int = 2, seed: int = 0,
 
     landed = 0
     for i in range(kills):
-        proc, host, port = _spawn_serve(store_dir, *serve_args)
+        proc, host, port = _spawn_serve(store_dir)
         stop = threading.Event()
         mismatches: List[str] = []
         threads = [threading.Thread(target=hammer,
@@ -495,7 +470,7 @@ def run_service_soak(root: str, kills: int = 2, seed: int = 0,
             f"records durable")
     # Restart: every answer byte-identical; committed records are served
     # from the store (no re-evaluation of what survived the kills).
-    proc, host, port = _spawn_serve(store_dir, *serve_args)
+    proc, host, port = _spawn_serve(store_dir)
     from ..schedulers import ExhaustiveScheduler
     from ..service.protocol import resolve_graph
     skey = ExhaustiveScheduler().cache_key()
@@ -779,10 +754,6 @@ def main(argv=None) -> int:
                     help="fleet size for the partition soak (minimum 2)")
     ap.add_argument("--partition-kills", type=int, default=3, metavar="N",
                     help="kill/partition rounds for the partition soak")
-    ap.add_argument("--service-batch-window", type=float, default=5.0,
-                    metavar="MS",
-                    help="micro-batch window for the service soak daemon "
-                         "(ms; 0 = batching off, the probe-at-a-time wire)")
     # Internal: victim entry points (the processes that get crashed).
     ap.add_argument("--victim", choices=["commit", "compact", "sweep"],
                     help=argparse.SUPPRESS)
@@ -808,8 +779,7 @@ def main(argv=None) -> int:
     if args.service_kills > 0:
         service_kills = run_service_soak(
             args.store, kills=args.service_kills, seed=args.seed,
-            clients=args.clients,
-            batch_window_ms=args.service_batch_window)
+            clients=args.clients)
     partition_kills = 0
     if args.partition_soak:
         partition_kills = run_partition_soak(

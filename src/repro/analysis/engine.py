@@ -235,8 +235,8 @@ class CachedCostFn:
 
     __slots__ = ("_fn", "_scheduler", "_cdag", "_cache", "_memo", "stats",
                  "_policy", "_fallback", "_fb_memo", "_key", "_context",
-                 "_on_eval", "_auditor", "_monotone", "degraded",
-                 "provenance", "brackets")
+                 "_on_eval", "_auditor", "degraded", "provenance",
+                 "brackets")
 
     def __init__(self, fn: Optional[CostFn] = None, *,
                  scheduler=None, cdag: Optional[CDAG] = None,
@@ -247,8 +247,7 @@ class CachedCostFn:
                  on_eval: Optional[
                      Callable[[int, float, bool, str, Optional[float]],
                               None]] = None,
-                 auditor: Optional[Auditor] = None,
-                 monotone: bool = True):
+                 auditor: Optional[Auditor] = None):
         if (fn is None) == (scheduler is None):
             raise ValueError("pass either fn or scheduler+cdag")
         if scheduler is not None and cdag is None:
@@ -272,9 +271,6 @@ class CachedCostFn:
         self._on_eval = on_eval
         self._auditor = auditor if auditor is not None and auditor.active \
             else None
-        # High-budget-first priming, honored only when the scheduler
-        # also advertises ``monotone_budget_probes`` (see prime()).
-        self._monotone = bool(monotone)
         self.degraded: set = set()
         #: budget -> ladder rung for every non-exact cached value
         #: (see :data:`repro.core.store.PROVENANCES`)
@@ -290,25 +286,6 @@ class CachedCostFn:
             return True  # audits are per-budget: no batch evaluation
         return self._policy is not None and (self._policy.active
                                              or self._fallback is not None)
-
-    @property
-    def _fusable(self) -> bool:
-        """True when a multi-budget batch may run as ONE ``cost_many``
-        dispatch without weakening per-probe guard semantics.  Timeouts,
-        retries, per-probe deadlines/memory caps, and audits all require
-        individually supervised probes; a fallback scheduler without
-        anytime degradation does too — only the anytime ladder can absorb
-        a state-space trip *inside* a fused call.  The plain engine and
-        the ``anytime``-governed service engine both qualify."""
-        if self._scheduler is None or self._auditor is not None:
-            return False
-        p = self._policy
-        if p is None:
-            return True
-        if (p.timeout is not None or p.retries > 0 or p.deadline is not None
-                or p.mem_limit_mb is not None):
-            return False
-        return p.anytime or self._fallback is None
 
     def _probe_key(self, budget: int) -> str:
         ctx = self._context() if self._context is not None else ""
@@ -478,27 +455,19 @@ class CachedCostFn:
                 if lb is not None:
                     self.brackets[budget] = (lb, cost)
 
-    def prime(self, budgets: Sequence[int], *, fused: bool = False) -> None:
+    def prime(self, budgets: Sequence[int]) -> None:
         """Batch-evaluate the not-yet-cached budgets in one
         ``cost_many`` call (one pass over a shared memo).  Under an
         active fault policy the batch is evaluated one budget at a time
         instead, so each probe is individually timed out / retried /
-        degraded (the shared memo still carries DP state across them).
-
-        ``fused=True`` (the service batching path, see
-        :meth:`SweepEngine.probe_many`) asks for the single-dispatch
-        batch even under an active policy, honored exactly when
-        :attr:`_fusable` says the policy has no per-probe guard that
-        fusion would weaken — an ``anytime``-only service engine
-        qualifies, a timeout/retry/audit engine does not."""
+        degraded (the shared memo still carries DP state across them)."""
         unique = list(dict.fromkeys(budgets))
         self.stats.probes += len(unique)
         missing = [b for b in unique if b not in self._cache]
         self.stats.cache_hits += len(unique) - len(missing)
         if not missing:
             return
-        if self._monotone and getattr(self._scheduler,
-                                      "monotone_budget_probes", False):
+        if getattr(self._scheduler, "monotone_budget_probes", False):
             # Evaluate high-budget-first: the oracle's optimum is
             # non-increasing in the budget, so each solved budget seeds
             # ``upper_bound`` pruning (and closes monotonicity brackets)
@@ -506,8 +475,7 @@ class CachedCostFn:
             # order — cached values and the caller's result order are
             # untouched.
             missing = sorted(missing, reverse=True)
-        if (self._guarded and not (fused and self._fusable)) \
-                or self._scheduler is None:
+        if self._guarded or self._scheduler is None:
             for b in missing:
                 self._evaluate(b)
         else:
@@ -569,7 +537,6 @@ def _pool_task(fn, args, kwargs, setup: Optional[dict] = None):
                          mem_limit_mb=setup.get("mem_limit_mb"),
                          anytime=setup.get("anytime", False),
                          jitter_seed=setup.get("jitter_seed"),
-                         monotone_probes=setup.get("monotone_probes", True),
                          store=setup.get("store"))
     engine._context = setup.get("context", "")
     engine._collect_probes = True
@@ -644,13 +611,6 @@ class SweepEngine:
     jitter_seed:
         Seed for the retry-backoff jitter RNG, making retry timing
         reproducible (ships to pool workers).
-    monotone_probes:
-        Evaluate batched probes of budget-monotone schedulers (those
-        advertising ``monotone_budget_probes``, i.e. the exhaustive
-        oracle) high-budget-first, so every solved budget seeds
-        ``upper_bound`` pruning for the lower budgets after it.  On by
-        default — evaluation *order* only, values identical; ``False``
-        restores caller order.
     store:
         Path of a durable cross-run :class:`~repro.core.store.ResultStore`
         directory (created if missing) or an open store instance.  Every
@@ -685,10 +645,8 @@ class SweepEngine:
                  mem_limit_mb: Optional[float] = None,
                  anytime: bool = False,
                  jitter_seed: Optional[int] = None,
-                 monotone_probes: bool = True,
                  store=None):
         self.jobs = max(1, int(jobs))
-        self.monotone_probes = bool(monotone_probes)
         self.stats = SweepStats()
         self.auditor = audit if isinstance(audit, Auditor) \
             else Auditor(level=audit)
@@ -846,8 +804,7 @@ class SweepEngine:
                               key=f"{sched_key}@{gkey}",
                               context=lambda: self._context,
                               on_eval=record,
-                              auditor=self.auditor,
-                              monotone=self.monotone_probes)
+                              auditor=self.auditor)
             fn.preload({b: v for (s, g, b), v in self._seed.items()
                         if s == sched_key and g == gkey})
             if self.store is not None:
@@ -958,9 +915,8 @@ class SweepEngine:
             result = minimum_fast_memory(
                 fn, target, lo, hi, step, hint=hint,
                 bracket_fn=fn.bracket, on_inconclusive=inconclusive,
-                high_first=(self.monotone_probes
-                            and getattr(scheduler, "monotone_budget_probes",
-                                        False)))
+                high_first=getattr(scheduler, "monotone_budget_probes",
+                                   False))
         finally:
             self.stats.wall_time += time.perf_counter() - t0
         self.stats.searches += 1
@@ -1019,48 +975,6 @@ class SweepEngine:
                 provenance=fn.provenance.get(budget, "exact"),
                 lb=lb, ub=ub, cached=cached)
 
-    def probe_many(self, scheduler, cdag: CDAG, budgets: Sequence[int], *,
-                   token: Optional[CancellationToken] = None
-                   ) -> List[ProbeOutcome]:
-        """Fused multi-budget probe for the service layer: answer every
-        budget in ``budgets`` and return one :class:`ProbeOutcome` per
-        entry, in caller order.
-
-        This is the dispatch target of the daemon's micro-batcher
-        (:mod:`repro.service.batcher`): budgets already cached (memory
-        or durable store) are stripped from the batch, and the rest run
-        as **one** ``cost_many`` call over the shared
-        DP memo / transposition table (``prime(fused=True)``) — for
-        budget-monotone schedulers evaluated high-first, so each exact
-        answer seeds upper-bound pruning for the budgets below it.
-        Thread-safety matches :meth:`probe`: per-(scheduler, graph)
-        serialization, concurrent across pairs.
-
-        ``token`` governs the whole fused solve (the batcher passes a
-        batch token that is cancelled only when the *last* waiter
-        departs).  Without one, an ``anytime`` engine still arms an
-        ambient anytime token so a stopped or capped solve yields
-        certified brackets instead of raising mid-batch."""
-        fn, lock = self._probe_fn(scheduler, cdag)
-        with lock:
-            was_cached = {b: b in fn._cache for b in set(budgets)}
-            tok = token
-            if tok is None and self.policy.anytime and fn._fusable:
-                tok = CancellationToken(anytime=True)
-            if tok is not None:
-                with governed(tok):
-                    fn.prime(budgets, fused=True)
-            else:
-                fn.prime(budgets, fused=True)
-            outcomes = []
-            for b in budgets:
-                lb, ub = fn.bracket(b)
-                outcomes.append(ProbeOutcome(
-                    cost=fn.value(b), degraded=b in fn.degraded,
-                    provenance=fn.provenance.get(b, "exact"),
-                    lb=lb, ub=ub, cached=was_cached[b]))
-        return outcomes
-
     def probe_min_memory(self, scheduler, cdag: CDAG, *,
                          token: Optional[CancellationToken] = None,
                          **kwargs) -> Optional[int]:
@@ -1103,7 +1017,6 @@ class SweepEngine:
             "mem_limit_mb": self.policy.mem_limit_mb,
             "anytime": self.policy.anytime,
             "jitter_seed": self.policy.seed,
-            "monotone_probes": self.monotone_probes,
             "store": self._store_path,
         }
 

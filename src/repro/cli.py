@@ -179,7 +179,6 @@ def cmd_minmem(args) -> int:
                      audit=args.audit, deadline=args.deadline,
                      mem_limit_mb=args.mem_limit, anytime=args.anytime,
                      jitter_seed=args.jitter_seed,
-                     monotone_probes=not args.no_monotone_probes,
                      store=args.store) as engine:
         bits = engine.min_memory(scheduler, g)
     if bits is None:
@@ -227,9 +226,7 @@ def cmd_experiments(args) -> int:
             timeout=args.timeout, retries=args.retries,
             audit=args.audit, deadline=args.deadline,
             mem_limit_mb=args.mem_limit, anytime=args.anytime,
-            jitter_seed=args.jitter_seed,
-            monotone_probes=not args.no_monotone_probes,
-            store=args.store)
+            jitter_seed=args.jitter_seed, store=args.store)
     return 0
 
 
@@ -284,8 +281,6 @@ def cmd_serve(args) -> int:
                               max_inflight=args.max_inflight,
                               tenants=governor,
                               drain_deadline=args.drain_deadline,
-                              batch_window=args.batch_window / 1000.0,
-                              batch_max=args.batch_max,
                               name=args.name,
                               log=(print if args.verbose else None))
     try:
@@ -325,10 +320,6 @@ def _add_fault_flags(parser) -> None:
     parser.add_argument("--jitter-seed", type=int, default=None, metavar="N",
                         help="seed the retry-backoff jitter RNG for "
                              "reproducible retry timing")
-    parser.add_argument("--no-monotone-probes", action="store_true",
-                        help="disable high-budget-first ordering of batched "
-                             "oracle probes (the default ordering only "
-                             "changes evaluation order, never values)")
     parser.add_argument("--store", metavar="DIR",
                         help="durable cross-run result store directory "
                              "(created if missing): fsync'd, crash-safe, "
@@ -429,15 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="SEC",
                    help="SIGTERM grace: seconds to let in-flight requests "
                         "finish before cooperative cancellation")
-    v.add_argument("--batch-window", type=float, default=0.0, metavar="MS",
-                   help="micro-batching window in milliseconds: distinct "
-                        "budgets of one (strategy, graph) arriving within "
-                        "the window fuse into ONE cost_many dispatch, "
-                        "high-budget-first (default 0 = off, wire "
-                        "byte-identical to the unbatched daemon)")
-    v.add_argument("--batch-max", type=int, default=16, metavar="N",
-                   help="distinct budgets per batch before it fires "
-                        "early, window notwithstanding (default 16)")
     v.add_argument("--name", default=None, metavar="NAME",
                    help="replica label reported in the health/stats "
                         "'replica' stanza (default: replica-<pid>); a "

@@ -5,9 +5,10 @@
                                 [--store DIR]
 
 Regenerates Table 1 and Figures 5-8, printing each and writing the text
-artifacts to ``output_dir`` (default ``./paper_artifacts``).  The sweep
-drivers (Table 1, Fig. 5, Fig. 6) share one :class:`SweepEngine`, so the
-searches Table 1 runs are cache hits by the time Fig. 5 needs them;
+artifacts to ``output_dir`` (default ``./paper_artifacts``).  Every
+experiment runs on one :class:`SweepEngine`, so the searches Table 1
+runs are cache hits by the time Fig. 5 needs them, and Figs. 7 and 8
+are built from Table 1's rows rather than solving it again;
 ``--jobs`` fans their evaluation points out over worker processes and
 ``--profile`` prints the engine's :class:`SweepStats` report at the end.
 
@@ -43,22 +44,32 @@ from .table1 import render_table1, run_table1
 def main(out_dir: str = "paper_artifacts", jobs: int = 1,
          profile: bool = False, timeout=None, retries: int = 0,
          audit: str = "off", deadline=None, mem_limit_mb=None,
-         anytime: bool = False, jitter_seed=None,
-         monotone_probes: bool = True, store=None) -> None:
+         anytime: bool = False, jitter_seed=None, store=None) -> None:
     out = pathlib.Path(out_dir)
     out.mkdir(exist_ok=True)
     eng = SweepEngine(jobs=jobs, timeout=timeout, retries=retries,
                       audit=audit, deadline=deadline,
                       mem_limit_mb=mem_limit_mb, anytime=anytime,
-                      jitter_seed=jitter_seed,
-                      monotone_probes=monotone_probes, store=store)
+                      jitter_seed=jitter_seed, store=store)
+    # Table 1 is solved once, on the run's engine; Figs. 7 and 8 are
+    # synthesized from its rows.
+    solved: dict = {}
+
+    def table1() -> str:
+        solved["rows"] = run_table1(engine=eng)
+        return render_table1(solved["rows"])
+
+    def fig7() -> str:
+        solved["columns"] = run_fig7(solved["rows"])
+        return render_fig7(solved["columns"])
+
     tasks = [
-        ("table1", lambda: render_table1(run_table1(engine=eng))),
+        ("table1", table1),
         ("fig5", lambda: render_fig5(run_fig5(engine=eng))),
         ("fig6", lambda: render_fig6(
             run_fig6(dwt_stride=4, mvm_stride=1, engine=eng))),
-        ("fig7", lambda: render_fig7(run_fig7())),
-        ("fig8", lambda: render_fig8(run_fig8())),
+        ("fig7", fig7),
+        ("fig8", lambda: render_fig8(run_fig8(solved["columns"]))),
     ]
     try:
         for name, job in tasks:
@@ -102,8 +113,6 @@ def _parse_args(argv=None):
                          "[lb, ub] brackets instead of greedy fallbacks")
     ap.add_argument("--jitter-seed", type=int, default=None, metavar="N",
                     help="seed the retry-backoff jitter RNG")
-    ap.add_argument("--no-monotone-probes", action="store_true",
-                    help="disable high-budget-first oracle probe ordering")
     ap.add_argument("--store", metavar="DIR",
                     help="durable cross-run result store directory "
                          "(fsync'd, crash-safe, multi-process)")
@@ -116,5 +125,4 @@ if __name__ == "__main__":
          timeout=_args.timeout, retries=_args.retries, audit=_args.audit,
          deadline=_args.deadline, mem_limit_mb=_args.mem_limit,
          anytime=_args.anytime, jitter_seed=_args.jitter_seed,
-         monotone_probes=not _args.no_monotone_probes,
          store=_args.store)

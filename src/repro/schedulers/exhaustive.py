@@ -269,12 +269,12 @@ class ExhaustiveScheduler(Scheduler):
         if table is None:
             table = state["table"] = self._make_table(cdag)
         store, skey, gkey = self._store_keys(state, cdag)
-        # One solve per *distinct* budget (batched service dispatches may
-        # fan duplicate budgets into one call), and a store read-through
-        # pre-pass: every budget with a committed exact record seeds the
-        # table *before* the first fresh search, so a stored high-budget
-        # optimum prunes every fresh search in this call regardless of
-        # the caller's budget order.
+        # One solve per *distinct* budget (a caller's list may repeat
+        # budgets), and a store read-through pre-pass: every budget with
+        # a committed exact record seeds the table *before* the first
+        # fresh search, so a stored high-budget optimum prunes every
+        # fresh search in this call regardless of the caller's budget
+        # order.
         unique = list(dict.fromkeys(budgets))
         resolved: Dict = {}
         if store is not None:

@@ -7,9 +7,6 @@ The ROADMAP's serving story in one package:
   blocking :class:`~repro.service.protocol.ServiceClient`.
 * :mod:`repro.service.coalesce` — the async single-flight registry that
   lets identical in-flight probes share one computation.
-* :mod:`repro.service.batcher` — cross-request micro-batching: distinct
-  budgets of one probe family accumulate for a bounded window and
-  dispatch as one fused ``cost_many`` call (``--batch-window``).
 * :mod:`repro.service.tenants` — per-tenant admission (token buckets)
   and governance caps (deadline / memory) chained into every solve.
 * :mod:`repro.service.daemon` — the asyncio TCP daemon tying them
@@ -26,7 +23,6 @@ The ROADMAP's serving story in one package:
 Launch with ``python -m repro.cli serve --store DIR``.
 """
 
-from .batcher import BatchingDispatcher, BatchWaitExpired
 from .coalesce import Coalescer
 from .daemon import SchedulingDaemon
 from .faultproxy import FaultProxy, Toxic
@@ -38,8 +34,7 @@ from .resilience import (BackoffPolicy, CircuitBreaker, FleetError,
                          RetriesExhausted)
 from .tenants import TenantGovernor, TenantPolicy
 
-__all__ = ["BatchingDispatcher", "BatchWaitExpired", "Coalescer",
-           "SchedulingDaemon", "MAX_FRAME_BYTES",
+__all__ = ["Coalescer", "SchedulingDaemon", "MAX_FRAME_BYTES",
            "ProtocolError", "ServiceClient", "decode_line", "encode",
            "error_frame", "ok_frame", "parse_request", "resolve_graph",
            "resolve_scheduler", "TenantGovernor", "TenantPolicy",

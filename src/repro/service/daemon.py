@@ -19,16 +19,6 @@ Robustness invariants (each pinned by a test):
   (:mod:`repro.service.coalesce`); the shared solve is cancelled only
   when its *last* waiter departs, via the request's
   :class:`~repro.core.governor.CancellationToken`.
-* **micro-batching** (``batch_window > 0``) — *distinct* budgets of one
-  probe family accumulate for the window and dispatch as one fused
-  ``cost_many`` call, high-budget-first
-  (:mod:`repro.service.batcher` → :meth:`~repro.analysis.engine.
-  SweepEngine.probe_many`).  A fused batch of k budgets counts k toward
-  admission, per-waiter deadlines bound the *wait* (expiry answers that
-  waiter ``cancelled``, survivors still get exact answers), and the
-  batch token is cancelled only when the last waiter departs.  With the
-  window at 0 (default) this layer does not exist and the wire is
-  byte-identical to the unbatched daemon.
 * **governance** — per-tenant deadline/memory caps chain into the solve
   (:mod:`repro.service.tenants`); a stopped oracle answers with a
   certified anytime ``[lb, ub]`` bracket.  With ``stream: true`` the
@@ -59,7 +49,6 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, Optional, Set, Tuple
 
 from ..core.governor import CancellationToken, governed
-from .batcher import BatchingDispatcher, BatchWaitExpired
 from .coalesce import Coalescer
 from .protocol import (MAX_FRAME_BYTES, ProtocolError, Request, decode_line,
                        encode, error_frame, ok_frame, parse_request,
@@ -89,8 +78,6 @@ class SchedulingDaemon:
                  max_pending: int = 16, max_inflight: int = 2,
                  tenants: Optional[TenantGovernor] = None,
                  drain_deadline: float = 10.0,
-                 batch_window: float = 0.0,
-                 batch_max: int = 16,
                  close_engine: bool = True,
                  name: Optional[str] = None,
                  log: Optional[Callable[[str], None]] = None):
@@ -104,12 +91,6 @@ class SchedulingDaemon:
         self.tenants = tenants if tenants is not None else TenantGovernor()
         self.drain_deadline = float(drain_deadline)
         self.coalescer = Coalescer()
-        #: Cross-request micro-batcher (``batch_window`` seconds; 0 = off
-        #: = the PR-8 probe-at-a-time wire, byte-identical).
-        self.batcher: Optional[BatchingDispatcher] = (
-            BatchingDispatcher(batch_window, batch_max,
-                               on_release=self._release_slots)
-            if batch_window > 0 else None)
         self._close_engine = close_engine
         self._log = log if log is not None else (lambda msg: None)
         self._pool = ThreadPoolExecutor(max_workers=self.max_inflight,
@@ -196,12 +177,6 @@ class SchedulingDaemon:
             self._server.close()
             with contextlib.suppress(Exception):
                 await self._server.wait_closed()
-        if self.batcher is not None:
-            # Waiters parked in an open window must be answered, not
-            # stranded: fire every pending batch before the drain wait.
-            fired = self.batcher.flush()
-            if fired:
-                self._log(f"flushed {fired} pending batch(es)")
         if drain:
             deadline = loop.time() + max(0.0, self.drain_deadline)
             while self._request_tasks and loop.time() < deadline:
@@ -212,8 +187,6 @@ class SchedulingDaemon:
             for token in list(self._live_tokens):
                 token.cancel("draining")
             self.coalescer.cancel_all()
-            if self.batcher is not None:
-                self.batcher.cancel_all()
             grace = loop.time() + 2.0
             while self._request_tasks and loop.time() < grace:
                 await asyncio.sleep(0.02)
@@ -351,11 +324,7 @@ class SchedulingDaemon:
         if self._draining:
             raise ProtocolError("shutting-down",
                                 "daemon is draining; no new work accepted")
-        # A fused multi-budget probe of k distinct budgets is k requests'
-        # worth of work: charge the tenant bucket accordingly.
-        slots = (len(dict.fromkeys(req.budgets))
-                 if req.verb == "probe" and req.budgets else 1)
-        retry = self.tenants.admit(req.tenant, slots)
+        retry = self.tenants.admit(req.tenant)
         if retry is not None:
             raise ProtocolError(
                 "tenant-rejected",
@@ -406,29 +375,6 @@ class SchedulingDaemon:
     async def _probe(self, req: Request, writer, wlock, scheduler, cdag,
                      skey: str, gkey: str,
                      token: Optional[CancellationToken]) -> None:
-        if req.budgets:
-            await self._probe_multi(req, writer, wlock, scheduler, cdag,
-                                    skey, gkey, token)
-            return
-        if self.batcher is not None:
-            charged = [0]
-            outcome, size = await self._batch_join(req, scheduler, cdag,
-                                                   skey, gkey, token,
-                                                   (req.budget,),
-                                                   charged=charged)
-            self._note_dispatch(req.request_id,
-                                charged[0] > 0 and not outcome.cached)
-            payload = self._probe_payload(outcome, batch_size=size)
-            if outcome.exact or not req.stream:
-                await self._send(writer, wlock,
-                                 ok_frame(req.id, "probe", payload))
-                return
-            await self._send(writer, wlock,
-                             ok_frame(req.id, "probe", payload,
-                                      final=False))
-            await self._refine(req, writer, wlock, scheduler, cdag,
-                               skey, gkey)
-            return
         led = [False]
         key = ("probe", skey, gkey, req.budget)
         outcome = await self.coalescer.run(key, self._solve_factory(
@@ -456,111 +402,14 @@ class SchedulingDaemon:
                 lambda: self.engine.probe(scheduler, cdag, req.budget,
                                           refine=True), None))
         await self._send(writer, wlock, ok_frame(
-            req.id, "probe", self._probe_payload(refined, batch_size=1)))
+            req.id, "probe", self._probe_payload(refined)))
 
-    async def _probe_multi(self, req: Request, writer, wlock, scheduler,
-                           cdag, skey: str, gkey: str,
-                           token: Optional[CancellationToken]) -> None:
-        """Multi-budget probe: every distinct budget answered by one
-        fused dispatch (through the batcher when enabled — where other
-        requests' budgets may ride along — else directly through
-        :meth:`~repro.analysis.engine.SweepEngine.probe_many`).
-        Duplicate budgets in the request collapse; the response lists
-        the distinct budgets in arrival order."""
-        budgets = list(dict.fromkeys(req.budgets))
-        if self.batcher is not None:
-            charged = [0]
-            results = await self._batch_join(req, scheduler, cdag,
-                                             skey, gkey, token, budgets,
-                                             many=True, charged=charged)
-            self._note_dispatch(
-                req.request_id,
-                charged[0] > 0 and any(not results[b][0].cached
-                                       for b in budgets))
-            probes = [self._probe_payload(results[b][0],
-                                          batch_size=results[b][1])
-                      for b in budgets]
-        else:
-            led = [False]
-            key = ("probe-many", skey, gkey, tuple(budgets))
-            outcomes = await self.coalescer.run(key, self._solve_factory(
-                self._led(led, lambda: self.engine.probe_many(
-                    scheduler, cdag, budgets, token=token)),
-                token, slots=len(budgets)))
-            self._note_dispatch(req.request_id,
-                                led[0] and any(not o.cached
-                                               for o in outcomes))
-            probes = [self._probe_payload(o) for o in outcomes]
-        await self._send(writer, wlock, ok_frame(
-            req.id, "probe", {"budgets": budgets, "probes": probes}))
-
-    async def _batch_join(self, req: Request, scheduler, cdag, skey: str,
-                          gkey: str, token: Optional[CancellationToken],
-                          budgets, many: bool = False,
-                          charged=None):
-        """Join this request's budget(s) to the micro-batcher.  The
-        tenant/request deadline bounds the *wait* — expiry answers this
-        waiter ``cancelled`` while the shared flight (and its surviving
-        waiters) continue.  ``charged`` (a one-slot list) receives the
-        admission charge: 0 means every budget joined a batch some other
-        request already registered — this request added no dispatch work
-        of its own (how a hedged duplicate stays amplification-free)."""
-        deadline = token.remaining() if token is not None else None
-
-        def admit(slots: int) -> None:
-            self._admit_slots(slots)
-            if charged is not None:
-                charged[0] += slots
-        try:
-            if many:
-                return await self.batcher.join_many(
-                    (skey, gkey), budgets,
-                    self._batch_dispatch(scheduler, cdag),
-                    admit=admit, deadline=deadline)
-            return await self.batcher.join(
-                (skey, gkey), budgets[0],
-                self._batch_dispatch(scheduler, cdag),
-                admit=admit, deadline=deadline)
-        except BatchWaitExpired as exc:
-            raise ProtocolError("cancelled", str(exc))
-
-    def _batch_dispatch(self, scheduler, cdag):
-        """The batcher's flight-runner: one fused ``probe_many`` on an
-        executor thread under a batch-scoped anytime token.  Cancelled
-        (last waiter departed, hard drain) → the token tells the worker
-        to stop at its next poll."""
-        async def dispatch(budgets):
-            # No draining check here: a drain *flushes* pending batches
-            # precisely so their waiters get answered; refusing new work
-            # is admission's job (:meth:`_admit_slots`).
-            loop = self._loop
-            token = CancellationToken(anytime=True)
-            self._live_tokens.add(token)
-            cf = self._pool.submit(
-                lambda: self.engine.probe_many(scheduler, cdag,
-                                               list(budgets), token=token))
-            cf.add_done_callback(
-                lambda _f: loop.call_soon_threadsafe(
-                    self._live_tokens.discard, token))
-            try:
-                return await asyncio.wrap_future(cf)
-            except asyncio.CancelledError:
-                token.cancel("abandoned")
-                raise
-        return dispatch
-
-    def _probe_payload(self, outcome, batch_size: Optional[int] = None
-                       ) -> dict:
-        payload = {"cost": _json_num(outcome.cost),
-                   "lb": _json_num(outcome.lb), "ub": _json_num(outcome.ub),
-                   "provenance": outcome.provenance, "exact": outcome.exact,
-                   "degraded": outcome.degraded, "cached": outcome.cached}
-        if self.batcher is not None:
-            # Batching provenance only exists when batching does: the
-            # batch-window-0 wire stays byte-identical to PR 8.
-            payload["batched"] = (batch_size or 1) > 1
-            payload["batch_size"] = batch_size or 1
-        return payload
+    @staticmethod
+    def _probe_payload(outcome) -> dict:
+        return {"cost": _json_num(outcome.cost),
+                "lb": _json_num(outcome.lb), "ub": _json_num(outcome.ub),
+                "provenance": outcome.provenance, "exact": outcome.exact,
+                "degraded": outcome.degraded, "cached": outcome.cached}
 
     def _sweep_work(self, scheduler, cdag, budgets, token):
         # engine.sweep is not itself thread-safe; serialize on the same
@@ -620,13 +469,11 @@ class SchedulingDaemon:
     # ----------------------------------------------------------------- #
     # Solve admission + executor bridge
 
-    def _admit_slots(self, slots: int) -> None:
-        """Charge ``slots`` against the bounded queue or reject (the
-        batcher calls this per distinct new budget batch-side, so a
-        fused batch of k probes counts as k, never 1)."""
+    def _admit(self) -> None:
+        """Charge one solve against the bounded queue or reject."""
         if self._draining:
             raise ProtocolError("shutting-down", "daemon is draining")
-        if self._active + slots > self.max_inflight + self.max_pending:
+        if self._active >= self.max_inflight + self.max_pending:
             self.rejected_overloaded += 1
             raise ProtocolError(
                 "overloaded",
@@ -634,28 +481,23 @@ class SchedulingDaemon:
                 f"(max_inflight={self.max_inflight}, "
                 f"max_pending={self.max_pending}); retry later",
                 retry_after=0.25)
-        self._active += slots
-
-    def _release_slots(self, slots: int) -> None:
-        self._active -= slots
+        self._active += 1
 
     def _solve_factory(self, work: Callable[[], object],
-                       token: Optional[CancellationToken],
-                       slots: int = 1):
+                       token: Optional[CancellationToken]):
         """A synchronous flight-maker for the coalescer: admission check
         + executor submission happen atomically on the loop thread, so a
         rejected leader registers nothing and a created flight owns
-        exactly ``slots`` queue slots until its future resolves (a
-        multi-budget probe of k budgets owns k)."""
+        exactly one queue slot until its future resolves."""
         def make():
-            self._admit_slots(slots)
+            self._admit()
             loop = self._loop
             if token is not None:
                 self._live_tokens.add(token)
             cf = self._pool.submit(work)
             cf.add_done_callback(
                 lambda _f: loop.call_soon_threadsafe(
-                    self._solve_finished, token, slots))
+                    self._solve_finished, token))
 
             async def waiter():
                 try:
@@ -669,9 +511,8 @@ class SchedulingDaemon:
             return waiter()
         return make
 
-    def _solve_finished(self, token: Optional[CancellationToken],
-                        slots: int = 1) -> None:
-        self._active -= slots
+    def _solve_finished(self, token: Optional[CancellationToken]) -> None:
+        self._active -= 1
         if token is not None:
             self._live_tokens.discard(token)
 
@@ -725,8 +566,6 @@ class SchedulingDaemon:
                     "duplicate_dispatches": self.duplicate_dispatches,
                     "request_ids_tracked": len(self._rids)},
                 "coalesce": self.coalescer.stats(),
-                "batch": (self.batcher.stats()
-                          if self.batcher is not None else None),
                 "rejections": {
                     "overloaded": self.rejected_overloaded,
                     "tenant": sum(v["rejected"]

@@ -19,10 +19,8 @@ One request per line, one-or-more response frames per request:
 Verbs
 -----
 
-``probe``       cost of (strategy, graph) at one ``budget`` — or at each
-                entry of a ``budgets`` list (a fused multi-probe: one
-                per-budget result map, answered by one shared dispatch)
-``sweep``       costs over a ``budgets`` grid
+``probe``       cost of (strategy, graph) at one ``budget``
+``sweep``       costs over a ``budgets`` grid (many budgets, one request)
 ``min-memory``  minimum fast memory size (Def. 2.6) of a strategy
 ``health``      liveness + load snapshot (always admitted)
 ``stats``       counters: coalescing, rejections, tenants, store size
@@ -247,17 +245,10 @@ def parse_request(obj: dict) -> Request:
     budget = None
     budgets: Tuple[int, ...] = ()
     if verb == "probe":
-        raw = obj.get("budgets")
-        if raw is not None:
-            _require(obj.get("budget") is None,
-                     "pass 'budget' or 'budgets', not both")
-            _require(not obj.get("stream", False),
-                     "'stream' is not supported with multi-budget probes")
-            _require(isinstance(raw, list) and 0 < len(raw) <= 256,
-                     "'budgets' must be a non-empty list (<= 256 entries)")
-            budgets = tuple(_budget(b, "budgets[]") for b in raw)
-        else:
-            budget = _budget(obj.get("budget"))
+        _require(obj.get("budgets") is None,
+                 "'probe' takes one 'budget'; ask for a 'budgets' list "
+                 "with the 'sweep' verb")
+        budget = _budget(obj.get("budget"))
     elif verb == "sweep":
         raw = obj.get("budgets")
         _require(isinstance(raw, list) and 0 < len(raw) <= 256,
@@ -425,14 +416,6 @@ class ServiceClient:
     def probe(self, graph: dict, strategy, budget: int, **kw) -> dict:
         req = {"verb": "probe", "graph": graph, "strategy": strategy,
                "budget": budget, **kw}
-        return self.request(req)[-1]
-
-    def probe_many(self, graph: dict, strategy, budgets: List[int],
-                   **kw) -> dict:
-        """Fused multi-budget probe: one request, one result map with a
-        per-budget payload under ``result["probes"]``."""
-        req = {"verb": "probe", "graph": graph, "strategy": strategy,
-               "budgets": list(budgets), **kw}
         return self.request(req)[-1]
 
     def sweep(self, graph: dict, strategy, budgets: List[int], **kw) -> dict:

@@ -565,12 +565,6 @@ class ResilientClient:
                              "strategy": strategy, "budget": budget,
                              **kw})[-1]
 
-    def probe_many(self, graph: dict, strategy, budgets: List[int],
-                   **kw) -> dict:
-        return self.request({"verb": "probe", "graph": graph,
-                             "strategy": strategy,
-                             "budgets": list(budgets), **kw})[-1]
-
     def sweep(self, graph: dict, strategy, budgets: List[int], **kw) -> dict:
         return self.request({"verb": "sweep", "graph": graph,
                              "strategy": strategy,

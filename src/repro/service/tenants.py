@@ -77,19 +77,16 @@ class TenantGovernor:
             self._buckets[tenant] = bucket
         return bucket
 
-    def admit(self, tenant: str, slots: int = 1) -> Optional[float]:
-        """Charge ``slots`` request tokens to ``tenant`` (a fused
-        multi-budget probe of k budgets costs k — batching must not
-        bypass admission).  Returns ``None`` when admitted, else the
-        advisory seconds until the tokens are free."""
+    def admit(self, tenant: str) -> Optional[float]:
+        """Charge one request token to ``tenant``.  Returns ``None`` when
+        admitted, else the advisory seconds until a token is free."""
         with self._lock:
             bucket = self._bucket(tenant)
-            if bucket.try_acquire(float(slots)):
-                self._requests[tenant] = \
-                    self._requests.get(tenant, 0) + slots
+            if bucket.try_acquire():
+                self._requests[tenant] = self._requests.get(tenant, 0) + 1
                 return None
             self._rejections[tenant] = self._rejections.get(tenant, 0) + 1
-            return bucket.wait_time(float(slots))
+            return bucket.wait_time()
 
     def token_for(self, tenant: str, *,
                   deadline: Optional[float] = None,

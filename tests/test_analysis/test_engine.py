@@ -179,65 +179,17 @@ class TestEngineSweep:
         assert calls == [16, 32]  # second callable never ran
 
 
-class TestProbeMany:
-    """Fused multi-budget probes — the service micro-batcher's dispatch
-    target.  Contract: one ``cost_many`` call (high-first, cached
-    budgets stripped) answering every budget with exactly what the
-    per-budget probe path would have said."""
+class TestServiceProbe:
+    """``SweepEngine.probe``, the daemon's single-budget entry point."""
 
-    def test_matches_per_budget_cost(self):
+    def test_cancelled_anytime_token_gives_a_bracket(self):
         g = dwt_graph(8, 2, weights=equal())
-        sched = ExhaustiveScheduler()
-        want = {b: ExhaustiveScheduler().cost(
-            dwt_graph(8, 2, weights=equal()), b) for b in (48, 64, 96)}
-        eng = SweepEngine()
-        budgets = [96, 48, 64, 48]  # duplicates collapse, order kept
-        outcomes = eng.probe_many(sched, g, budgets)
-        assert [o.cost for o in outcomes] == [want[b] for b in budgets]
-        assert all(o.exact and not o.cached for o in outcomes)
-        again = eng.probe_many(sched, g, budgets)
-        assert [o.cost for o in again] == [o.cost for o in outcomes]
-        assert all(o.cached for o in again)
-
-    def test_one_fused_dispatch_high_first(self):
-        g = dwt_graph(8, 2, weights=equal())
-        sched = ExhaustiveScheduler()
-        calls = []
-        orig = sched.cost_many
-        sched.cost_many = lambda cdag, budgets, memo=None: (
-            calls.append(tuple(budgets)) or orig(cdag, budgets, memo=memo))
-        # anytime=True is the serving configuration: the policy is
-        # "active", yet fusion must still run the batch as one call.
-        eng = SweepEngine(anytime=True)
-        outcomes = eng.probe_many(sched, g, [48, 96, 64])
-        assert calls == [(96, 64, 48)]
-        assert all(o.exact for o in outcomes)
-
-    def test_cached_budgets_stripped_from_dispatch(self):
-        g = dwt_graph(8, 2, weights=equal())
-        sched = ExhaustiveScheduler()
-        eng = SweepEngine(anytime=True)  # fusable serving configuration
-        eng.probe(sched, g, 64)  # warm one budget
-        calls = []
-        orig = sched.cost_many
-        sched.cost_many = lambda cdag, budgets, memo=None: (
-            calls.append(tuple(budgets)) or orig(cdag, budgets, memo=memo))
-        outcomes = eng.probe_many(sched, g, [48, 64, 96])
-        assert calls == [(96, 48)]  # 64 never re-dispatched
-        by = dict(zip([48, 64, 96], outcomes))
-        assert by[64].cached and not by[48].cached and not by[96].cached
-        assert by[64].cost == sched.cost(g, 64)
-
-    def test_cancelled_anytime_token_degrades_to_brackets(self):
-        g = dwt_graph(8, 2, weights=equal())
-        sched = ExhaustiveScheduler()
         eng = SweepEngine(anytime=True)
         token = CancellationToken(anytime=True)
         token.cancel("test")
-        outcomes = eng.probe_many(sched, g, [64, 96], token=token)
-        for o in outcomes:
-            assert not o.exact  # certified bracket, not a wrong answer
-            assert o.lb <= o.ub
+        outcome = eng.probe(ExhaustiveScheduler(), g, 64, token=token)
+        assert not outcome.exact  # certified bracket, not a wrong answer
+        assert outcome.lb <= outcome.ub
 
 
 class TestEngineMinMemory:

@@ -27,7 +27,7 @@ import pytest
 from repro.analysis import SweepEngine
 from repro.core import equal
 from repro.graphs import dwt_graph
-from repro.schedulers import OptimalDWTScheduler
+from repro.schedulers import ExhaustiveScheduler, OptimalDWTScheduler
 from repro.service import SchedulingDaemon, TenantGovernor, TenantPolicy
 from repro.service.protocol import encode
 
@@ -127,6 +127,32 @@ class TestEndToEnd:
             assert s["rejections"] == {"overloaded": 0, "tenant": 0,
                                        "malformed": 0, "internal": 0}
             assert "default" in s["tenants"]
+        run_daemon(body)
+
+    def test_probe_payload_keys_and_no_batch_stats(self):
+        async def body(daemon):
+            frame = (await rpc(daemon.port, probe_req(64)))[-1]
+            assert set(frame["result"]) == {
+                "cost", "lb", "ub", "provenance", "exact", "degraded",
+                "cached"}
+            stats = (await rpc(daemon.port, {"verb": "stats"}))[-1]
+            assert "batch" not in stats["result"]
+        run_daemon(body)
+
+    def test_exhaustive_sweep_matches_storeless_reference(self):
+        # Many budgets in one request take the ``sweep`` verb; the
+        # oracle's answers must equal a store-less engine's.
+        g = dwt_graph(8, 2, weights=equal())
+        ref = SweepEngine().sweep(ExhaustiveScheduler(), g,
+                                  [56, 64, 72], "ref").costs
+
+        async def body(daemon):
+            frame = (await rpc(daemon.port, {
+                "verb": "sweep", "graph": DWT8, "strategy": "exhaustive",
+                "budgets": [56, 64, 72]}))[-1]
+            assert frame["ok"]
+            assert tuple(frame["result"]["costs"]) == ref
+            assert frame["result"]["degraded"] == []  # every cost exact
         run_daemon(body)
 
     def test_second_probe_is_a_cache_hit(self):
