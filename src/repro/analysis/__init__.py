@@ -3,8 +3,7 @@ sweeps (Fig. 5), fault-tolerant sweep execution, and plain-text reporting."""
 
 from .min_memory import cost_at, minimum_fast_memory, scheduler_min_memory
 from .sweep import SweepSeries, log_budget_grid, sweep, sweep_many
-from .faults import (PROVENANCES, FailureRecord, FaultPolicy,
-                     call_with_timeout, run_probe)
+from .faults import PROVENANCES, FailureRecord, FaultPolicy, run_probe
 from ..core.governor import (AnytimeResult, CancellationToken, current_token,
                              governed, install_rlimit, process_rss_mb)
 from .audit import (AuditViolation, Auditor, LEVELS as AUDIT_LEVELS,
@@ -21,8 +20,7 @@ from .compare import Comparison, ComparisonCell, compare
 
 __all__ = ["cost_at", "minimum_fast_memory", "scheduler_min_memory",
            "SweepSeries", "log_budget_grid", "sweep", "sweep_many",
-           "PROVENANCES", "FailureRecord", "FaultPolicy",
-           "call_with_timeout", "run_probe",
+           "PROVENANCES", "FailureRecord", "FaultPolicy", "run_probe",
            "AnytimeResult", "CancellationToken", "current_token",
            "governed", "install_rlimit", "process_rss_mb",
            "AuditViolation", "Auditor", "AUDIT_LEVELS", "audit_schedule",

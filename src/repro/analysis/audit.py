@@ -32,8 +32,8 @@ Audit levels (cumulative):
 
 A failed audit inside the sweep engine **quarantines** the probe: the
 violation is recorded as a structured :class:`AuditViolation`, the probe
-degrades to the scheduler's designated fallback (exactly like the
-timeout path of :mod:`repro.analysis.faults`), and the budget is flagged
+degrades to the scheduler's designated fallback (exactly like a
+guard-stopped probe in :mod:`repro.analysis.faults`), and the budget is flagged
 in ``SweepSeries.degraded`` — the sweep survives, the lie does not
 poison it.  Without a fallback the typed
 :class:`~repro.core.exceptions.AuditFailure` propagates.

@@ -270,7 +270,8 @@ def run_sigkill_soak(root: str, kills: int = 20, seed: int = 0,
         proc = _spawn(["--victim", "sweep", "--store", store_dir,
                        "--dawdle", str(dawdle)])
         time.sleep(rng.uniform(0.05, 1.5))
-        if proc.poll() is None:
+        killed = proc.poll() is None
+        if killed:
             proc.send_signal(signal.SIGKILL)
             landed += 1
         proc.communicate(timeout=120)
@@ -285,7 +286,7 @@ def run_sigkill_soak(root: str, kills: int = 20, seed: int = 0,
                 f"{expected[key]}")
         committed = set(served)
         log(f"kill #{i + 1:>3}: {len(served)}/{len(expected)} records "
-            f"durable{'' if landed > i else ' (victim finished first)'}")
+            f"durable{'' if killed else ' (victim finished first)'}")
     # Clean finish: an unkilled victim completes the sweep.
     proc = _spawn(["--victim", "sweep", "--store", store_dir,
                    "--dawdle", "0"])

@@ -21,12 +21,13 @@ scratch:
 Long sweeps also survive partial failure (see
 :mod:`repro.analysis.faults`):
 
-* per-probe **timeouts** and bounded **retries** with exponential backoff
-  + jitter (``timeout=``/``retries=`` engine kwargs);
-* **graceful degradation** — a probe that times out or trips the
-  exhaustive state-space guard is answered by the scheduler's designated
-  fallback (greedy / layer-by-layer / ...) and flagged ``degraded``
-  instead of killing the sweep;
+* one **probe guard** — every fresh probe runs under a cancellation
+  token; ``deadline=``/``mem_limit_mb=`` arm a per-probe one, so a
+  runaway evaluation stops itself at its next poll;
+* **graceful degradation** — a probe stopped by its guard (deadline,
+  memory watchdog, exhaustive state-space cap) is answered by the
+  scheduler's designated fallback (greedy / layer-by-layer / ...) and
+  flagged ``degraded`` instead of killing the sweep;
 * **worker-crash recovery** — a ``BrokenProcessPool`` rebuilds the pool
   and re-dispatches only the lost tasks, degrading to serial in-process
   execution after repeated pool deaths;
@@ -40,14 +41,14 @@ And, orthogonally, wrong answers are caught (see
 probe runs the audit gauntlet — lower-bound/replay/differential checks —
 and a failed audit **quarantines** the probe: the violation is recorded
 as a structured ``AuditViolation``, the probe is answered by the fallback
-scheduler (flagged ``degraded``, exactly like the timeout path), and the
-sweep continues.
+scheduler (flagged ``degraded``, exactly like a guard-stopped probe),
+and the sweep continues.
 
-The engine never changes results: cached, batched, parallel, and resumed
-paths return values identical to the direct serial path (the tests assert
+The engine never changes results: cached, parallel, and resumed paths
+return values identical to the direct serial path (the tests assert
 bit-identical series on DWT and MVM instances).  With all fault-tolerance
-knobs at their defaults and no faults occurring, evaluation order and
-output are byte-identical to the un-guarded engine.
+knobs at their defaults and no faults occurring, output is byte-identical
+to the un-guarded engine.
 """
 
 from __future__ import annotations
@@ -77,6 +78,10 @@ CostFn = Callable[[int], float]
 #: ``fallback="auto"`` asks each scheduler for its designated fallback.
 AUTO_FALLBACK = "auto"
 
+#: Pool rebuilds :meth:`SweepEngine.map` tolerates before it runs the
+#: remaining tasks serially in-process.
+MAX_POOL_RESTARTS = 2
+
 
 # --------------------------------------------------------------------- #
 # Instrumentation
@@ -97,7 +102,7 @@ class SweepStats:
     tasks: int = 0  #: fan-out tasks executed via :meth:`SweepEngine.map`
     pool_restarts: int = 0  #: process pools rebuilt after worker crashes
     failures: List[FailureRecord] = field(default_factory=list)
-    #: non-clean probe/task episodes (retried, degraded, redispatched, ...)
+    #: non-clean probe/task episodes (degraded, failed, redispatched, ...)
     violations: List[AuditViolation] = field(default_factory=list)
     #: audit findings (:mod:`repro.analysis.audit`), one per failed check
 
@@ -224,13 +229,13 @@ class CachedCostFn:
     exactly as the underlying ``cost`` would (same value and type), which
     keeps cached sweeps bit-identical to direct ones.
 
-    When a :class:`~repro.analysis.faults.FaultPolicy` (and optionally a
-    ``fallback`` scheduler) is attached, every evaluation runs through
-    :func:`~repro.analysis.faults.run_probe`: timeouts and transient
-    failures are retried/degraded per the policy, budgets answered by the
-    fallback are collected in :attr:`degraded`, and failure episodes are
-    appended to ``stats.failures``.  With no policy the evaluation path
-    is exactly the plain one.
+    Every fresh budget takes one path, :meth:`_evaluate`:
+    :func:`~repro.analysis.faults.run_probe` under the
+    :class:`~repro.analysis.faults.FaultPolicy` (the default policy
+    adds no guard of its own), fallback on a degradable fault, the
+    anytime bracket, the audit, the ``on_eval`` record, then the cache.
+    Budgets answered by the fallback are collected in :attr:`degraded`,
+    and failure episodes are appended to ``stats.failures``.
     """
 
     __slots__ = ("_fn", "_scheduler", "_cdag", "_cache", "_memo", "stats",
@@ -262,7 +267,7 @@ class CachedCostFn:
         self._cache: Dict[int, float] = {}
         self._memo: dict = {}
         self.stats = stats if stats is not None else SweepStats()
-        self._policy = policy
+        self._policy = policy if policy is not None else FaultPolicy()
         self._fallback = fallback
         self._fb_memo: dict = {}
         self._key = key if key is not None else \
@@ -280,43 +285,35 @@ class CachedCostFn:
 
     # -- fault-tolerant single-budget evaluation ----------------------- #
 
-    @property
-    def _guarded(self) -> bool:
-        if self._auditor is not None:
-            return True  # audits are per-budget: no batch evaluation
-        return self._policy is not None and (self._policy.active
-                                             or self._fallback is not None)
-
     def _probe_key(self, budget: int) -> str:
         ctx = self._context() if self._context is not None else ""
         return f"{ctx}{self._key}#B={budget}"
 
     def _evaluate(self, budget: int) -> float:
-        """Evaluate one uncached budget (guarded when a policy is set),
-        cache it, and notify the ``on_eval`` hook (store write-through)."""
+        """Evaluate one uncached budget through the probe guard, record
+        it through the ``on_eval`` hook (store write-through), then cache
+        it.  Recording comes first, so a value the store refuses is never
+        served later."""
         t0 = time.perf_counter()
         if self._scheduler is not None:
             evaluate = lambda: self._scheduler.cost_many(
                 self._cdag, (budget,), memo=self._memo)[0]
         else:
             evaluate = lambda: cost_at(self._fn, budget)
-        if self._guarded:
-            fallback = None
-            if self._fallback is not None:
-                fallback = lambda: self._fallback.cost_many(
-                    self._cdag, (budget,), memo=self._fb_memo)[0]
-            val, was_degraded = run_probe(
-                evaluate, key=self._probe_key(budget), policy=self._policy,
-                failures=self.stats.failures, fallback=fallback)
-        else:
-            val, was_degraded = evaluate(), False
+        fallback = None
+        if self._fallback is not None:
+            fallback = lambda: self._fallback.cost_many(
+                self._cdag, (budget,), memo=self._fb_memo)[0]
+        val, was_degraded = run_probe(
+            evaluate, key=self._probe_key(budget), policy=self._policy,
+            failures=self.stats.failures, fallback=fallback)
         self.stats.evals += 1
         self.stats.eval_time += time.perf_counter() - t0
-        if was_degraded:
-            provenance, lb = "fallback", None
-        else:
-            provenance, lb, was_degraded = self._absorb_anytime(
+        provenance, bracket = "fallback", None
+        if not was_degraded:
+            provenance, bracket = self._absorb_anytime(
                 budget, time.perf_counter() - t0)
+            was_degraded = bracket is not None
         if self._auditor is not None and not was_degraded:
             # Degraded probes already carry the fallback's (trusted) value;
             # auditing them against the primary scheduler's claims would
@@ -324,38 +321,40 @@ class CachedCostFn:
             val, was_degraded = self._quarantine(budget, val)
             if was_degraded:
                 provenance = "quarantined"
+        if self._on_eval is not None:
+            self._on_eval(budget, val, was_degraded, provenance,
+                          bracket[0] if bracket is not None else None)
         self._cache[budget] = val
         if was_degraded:
             self.degraded.add(budget)
             self.provenance[budget] = provenance
-        if self._on_eval is not None:
-            self._on_eval(budget, val, was_degraded, provenance, lb)
+            if bracket is not None:
+                self.brackets[budget] = bracket
         entries = self.memo_entries()
         if entries > self.stats.peak_memo_entries:
             self.stats.peak_memo_entries = entries
         return val
 
     def _absorb_anytime(self, budget: int, elapsed: float
-                        ) -> Tuple[str, Optional[float], bool]:
+                        ) -> Tuple[str, Optional[Tuple[float, float]]]:
         """Pop the inexact bracket a governed oracle parked for ``budget``
         (``memo["anytime_results"]``, see ``ExhaustiveScheduler.
-        _cost_many_anytime``) and fold it into the ladder bookkeeping.
-        Returns ``(provenance, lb, degraded)`` — ``("exact", None,
-        False)`` when the probe completed normally."""
+        _cost_many_anytime``) and record the episode.  Returns
+        ``(provenance, (lb, ub))`` — ``("exact", None)`` when the probe
+        completed normally."""
         bag = self._memo.get("anytime_results")
         ares = bag.pop(budget, None) if bag else None
         if ares is None:
-            return "exact", None, False
+            return "exact", None
         provenance = "anytime" if ares.source == "search" else "fallback"
         resolution = "anytime" if provenance == "anytime" else "degraded"
-        self.brackets[budget] = (ares.lower_bound, ares.upper_bound)
         self.stats.failures.append(FailureRecord(
             key=self._probe_key(budget), exception="AnytimeResult",
             message=ares.describe(), attempts=1, elapsed=elapsed,
             resolution=resolution,
             context={"reason": ares.reason, "lb": ares.lower_bound,
                      "ub": ares.upper_bound, **ares.stats}))
-        return provenance, ares.lower_bound, True
+        return provenance, (ares.lower_bound, ares.upper_bound)
 
     def bracket(self, budget: int) -> Tuple[float, float]:
         """Certified ``(lb, ub)`` for a budget: ``(cost, cost)`` for
@@ -456,17 +455,13 @@ class CachedCostFn:
                     self.brackets[budget] = (lb, cost)
 
     def prime(self, budgets: Sequence[int]) -> None:
-        """Batch-evaluate the not-yet-cached budgets in one
-        ``cost_many`` call (one pass over a shared memo).  Under an
-        active fault policy the batch is evaluated one budget at a time
-        instead, so each probe is individually timed out / retried /
-        degraded (the shared memo still carries DP state across them)."""
+        """Evaluate the not-yet-cached budgets, each through
+        :meth:`_evaluate` on the shared memo (DP state carries across
+        them)."""
         unique = list(dict.fromkeys(budgets))
         self.stats.probes += len(unique)
         missing = [b for b in unique if b not in self._cache]
         self.stats.cache_hits += len(unique) - len(missing)
-        if not missing:
-            return
         if getattr(self._scheduler, "monotone_budget_probes", False):
             # Evaluate high-budget-first: the oracle's optimum is
             # non-increasing in the budget, so each solved budget seeds
@@ -474,29 +469,9 @@ class CachedCostFn:
             # for every lower-budget probe after it.  Pure evaluation
             # order — cached values and the caller's result order are
             # untouched.
-            missing = sorted(missing, reverse=True)
-        if self._guarded or self._scheduler is None:
-            for b in missing:
-                self._evaluate(b)
-        else:
-            t0 = time.perf_counter()
-            vals = self._scheduler.cost_many(self._cdag, missing,
-                                             memo=self._memo)
-            self.stats.evals += len(missing)
-            self.stats.eval_time += time.perf_counter() - t0
-            elapsed = time.perf_counter() - t0
-            self._cache.update(zip(missing, vals))
-            for b, v in zip(missing, vals):
-                provenance, lb, was_degraded = self._absorb_anytime(
-                    b, elapsed)
-                if was_degraded:
-                    self.degraded.add(b)
-                    self.provenance[b] = provenance
-                if self._on_eval is not None:
-                    self._on_eval(b, v, was_degraded, provenance, lb)
-        entries = self.memo_entries()
-        if entries > self.stats.peak_memo_entries:
-            self.stats.peak_memo_entries = entries
+            missing.sort(reverse=True)
+        for b in missing:
+            self._evaluate(b)
 
     def memo_entries(self) -> int:
         """Current cache + DP-memo footprint, in entries.
@@ -527,16 +502,11 @@ def _pool_task(fn, args, kwargs, setup: Optional[dict] = None):
         # native allocations the poll never sees).
         install_rlimit(setup["mem_limit_mb"])
     engine = SweepEngine(jobs=1,
-                         timeout=setup.get("timeout"),
-                         retries=setup.get("retries", 0),
-                         backoff=setup.get("backoff", 0.25),
-                         jitter=setup.get("jitter", 0.25),
                          fallback=setup.get("fallback", AUTO_FALLBACK),
                          audit=Auditor(**audit) if audit else "off",
                          deadline=setup.get("deadline"),
                          mem_limit_mb=setup.get("mem_limit_mb"),
                          anytime=setup.get("anytime", False),
-                         jitter_seed=setup.get("jitter_seed"),
                          store=setup.get("store"))
     engine._context = setup.get("context", "")
     engine._collect_probes = True
@@ -571,18 +541,13 @@ class SweepEngine:
 
     Fault-tolerance kwargs (all inert by default):
 
-    timeout / retries / backoff / jitter:
-        Per-probe wall-clock limit and transient-failure retry budget —
-        see :class:`~repro.analysis.faults.FaultPolicy`.
     fallback:
-        ``"auto"`` (default) degrades a timed-out / guard-tripped probe
-        to the scheduler's own designated fallback
+        ``"auto"`` (default) degrades a guard-stopped probe (deadline,
+        memory watchdog, cancel, state-space cap) to the scheduler's own
+        designated fallback
         (:meth:`~repro.schedulers.base.Scheduler.fallback_scheduler`);
         a :class:`~repro.schedulers.base.Scheduler` instance forces one
         fallback for every scheduler; ``None`` disables degradation.
-    max_pool_restarts:
-        Pool rebuilds tolerated in :meth:`map` before the remaining
-        tasks run serially in-process.
     audit:
         Audit level (``"off"``/``"bounds"``/``"replay"``/
         ``"differential"``) or a configured
@@ -600,17 +565,16 @@ class SweepEngine:
 
     deadline / mem_limit_mb:
         Per-probe cooperative wall-clock budget (seconds) and RSS
-        watchdog threshold (MiB): each probe runs under its own
-        :class:`~repro.core.governor.CancellationToken`, so governed
-        schedulers *stop themselves* instead of burning CPU past a
-        daemon-thread timeout.
+        watchdog threshold (MiB) — the one per-probe bound: each probe
+        runs under its own :class:`~repro.core.governor.
+        CancellationToken`, so governed schedulers *stop themselves* at
+        their next poll (see :class:`~repro.analysis.faults.
+        FaultPolicy`).  Without them a probe runs under the caller's
+        ambient token.
     anytime:
         Stopped oracle probes return certified ``[lb, ub]`` brackets
         (recorded value = ub, provenance ``"anytime"``) instead of
         immediately degrading to the greedy fallback.
-    jitter_seed:
-        Seed for the retry-backoff jitter RNG, making retry timing
-        reproducible (ships to pool workers).
     store:
         Path of a durable cross-run :class:`~repro.core.store.ResultStore`
         directory (created if missing) or an open store instance.  Every
@@ -633,31 +597,21 @@ class SweepEngine:
     """
 
     def __init__(self, jobs: int = 1, *,
-                 timeout: Optional[float] = None,
-                 retries: int = 0,
-                 backoff: float = 0.25,
-                 jitter: float = 0.25,
                  fallback: Union[str, None, object] = AUTO_FALLBACK,
-                 max_pool_restarts: int = 2,
                  checkpoint: Optional[str] = None,
                  audit: Union[str, Auditor] = "off",
                  deadline: Optional[float] = None,
                  mem_limit_mb: Optional[float] = None,
                  anytime: bool = False,
-                 jitter_seed: Optional[int] = None,
                  store=None):
         self.jobs = max(1, int(jobs))
         self.stats = SweepStats()
+        self.policy = FaultPolicy(deadline=deadline,
+                                  mem_limit_mb=mem_limit_mb, anytime=anytime)
         self.auditor = audit if isinstance(audit, Auditor) \
             else Auditor(level=audit)
-        if self.auditor.active and (deadline is not None
-                                    or mem_limit_mb is not None or anytime):
+        if self.auditor.active and self.policy.governed:
             self.auditor.governed = True
-        self.policy = FaultPolicy(timeout=timeout, retries=max(0, int(retries)),
-                                  backoff=backoff, jitter=jitter,
-                                  max_pool_restarts=max(0, int(max_pool_restarts)),
-                                  deadline=deadline, mem_limit_mb=mem_limit_mb,
-                                  anytime=anytime, seed=jitter_seed)
         self.fallback = fallback
         self._fns: Dict[Tuple, CachedCostFn] = {}
         # id(cdag) -> (cdag, lower bound, min budget, total weight, gcd step)
@@ -758,16 +712,17 @@ class SweepEngine:
                       cost: float, was_degraded: bool,
                       provenance: str = "exact",
                       lb: Optional[float] = None) -> None:
-        """Record one completed probe (seed + store + worker export).
-        Serialized under the record lock so concurrent service-layer
-        probes of *different* graphs (see :meth:`probe`) never interleave
-        store commits."""
+        """Record one completed probe (store + seed + worker export).
+        The store stages first: a record it refuses raises before the
+        seed can serve it.  Serialized under the record lock so
+        concurrent service-layer probes of *different* graphs (see
+        :meth:`probe`) never interleave store commits."""
         with self._record_lock:
-            self._seed[(sched_key, gkey, budget)] = (cost, was_degraded,
-                                                     provenance, lb)
             if self.store is not None:
                 self.store.put_probe(sched_key, gkey, budget, cost,
                                      was_degraded, provenance, lb)
+            self._seed[(sched_key, gkey, budget)] = (cost, was_degraded,
+                                                     provenance, lb)
             if self._collect_probes:
                 self._probe_log.append((sched_key, gkey, budget, cost,
                                         was_degraded, provenance, lb))
@@ -818,9 +773,9 @@ class SweepEngine:
                     ) -> CachedCostFn:
         """Memoized wrapper for a plain cost callable.  ``key`` makes the
         cache survive across calls that rebuild the callable (e.g. a
-        closure over the same model object).  Raw callables get timeouts
-        and retries but no fallback degradation and no store records —
-        there is no stable cross-run identity to key them under."""
+        closure over the same model object).  Raw callables run under the
+        probe guard but get no fallback degradation and no store records
+        — there is no stable cross-run identity to key them under."""
         cache_key = ("raw",) + (key if key is not None else (id(fn),))
         cached = self._fns.get(cache_key)
         if cached is None:
@@ -836,8 +791,8 @@ class SweepEngine:
     def sweep(self, scheduler, cdag: CDAG, budgets: Sequence[int],
               label: str) -> SweepSeries:
         """Cached :func:`repro.analysis.sweep.sweep` over a scheduler.
-        Budgets answered by a fallback scheduler (timeout / state-space
-        guard) are listed in the series' ``degraded`` field."""
+        Budgets answered by a fallback scheduler (guard-stopped probes)
+        are listed in the series' ``degraded`` field."""
         fn = self.cost_fn(scheduler, cdag)
         t0 = time.perf_counter()
         try:
@@ -1005,10 +960,6 @@ class SweepEngine:
         """Everything a pool worker needs to mirror this engine's fault
         behaviour (must pickle: schedulers are plain-data objects)."""
         return {
-            "timeout": self.policy.timeout,
-            "retries": self.policy.retries,
-            "backoff": self.policy.backoff,
-            "jitter": self.policy.jitter,
             "fallback": self.fallback,
             "context": self._context,
             "seed": dict(self._seed) if self._seed else None,
@@ -1016,7 +967,6 @@ class SweepEngine:
             "deadline": self.policy.deadline,
             "mem_limit_mb": self.policy.mem_limit_mb,
             "anytime": self.policy.anytime,
-            "jitter_seed": self.policy.seed,
             "store": self._store_path,
         }
 
@@ -1038,7 +988,7 @@ class SweepEngine:
         A worker crash (``BrokenProcessPool``) does not kill the sweep:
         results that completed before the crash are kept, the pool is
         rebuilt, and only the lost tasks are re-dispatched.  After
-        ``max_pool_restarts`` rebuilds the remaining tasks run serially
+        :data:`MAX_POOL_RESTARTS` rebuilds the remaining tasks run serially
         in this process.  Each recovery episode is recorded in
         :attr:`stats` (``pool_restarts`` + per-task ``FailureRecord``).
         """
@@ -1060,7 +1010,7 @@ class SweepEngine:
         pending = list(range(len(norm)))
         restarts = 0
         while pending:
-            if restarts > self.policy.max_pool_restarts:
+            if restarts > MAX_POOL_RESTARTS:
                 # Too many pool deaths: finish serially in this process.
                 for i in pending:
                     t0 = time.perf_counter()

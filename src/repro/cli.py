@@ -175,10 +175,8 @@ def cmd_minmem(args) -> int:
     from .analysis import SweepEngine
     g = _load_graph(args.graph)
     scheduler = _make_scheduler(args.strategy, g, args)
-    with SweepEngine(timeout=args.timeout, retries=args.retries,
-                     audit=args.audit, deadline=args.deadline,
+    with SweepEngine(audit=args.audit, deadline=args.deadline,
                      mem_limit_mb=args.mem_limit, anytime=args.anytime,
-                     jitter_seed=args.jitter_seed,
                      store=args.store) as engine:
         bits = engine.min_memory(scheduler, g)
     if bits is None:
@@ -223,10 +221,9 @@ def cmd_compare(args) -> int:
 def cmd_experiments(args) -> int:
     from .experiments.__main__ import main as run_all
     run_all(args.output_dir, jobs=args.jobs, profile=args.profile,
-            timeout=args.timeout, retries=args.retries,
             audit=args.audit, deadline=args.deadline,
             mem_limit_mb=args.mem_limit, anytime=args.anytime,
-            jitter_seed=args.jitter_seed, store=args.store)
+            store=args.store)
     return 0
 
 
@@ -292,12 +289,6 @@ def cmd_serve(args) -> int:
 
 def _add_fault_flags(parser) -> None:
     """Fault-tolerance flags shared by the sweep-driving subcommands."""
-    parser.add_argument("--timeout", type=float, default=None, metavar="SEC",
-                        help="per-probe wall-clock limit; timed-out probes "
-                             "degrade to the scheduler's fallback")
-    parser.add_argument("--retries", type=int, default=0, metavar="N",
-                        help="retries for transient probe failures "
-                             "(exponential backoff + jitter)")
     parser.add_argument("--audit",
                         choices=["off", "bounds", "replay", "differential"],
                         default="off",
@@ -305,9 +296,10 @@ def _add_fault_flags(parser) -> None:
                              "audits quarantine the probe (fallback answer "
                              "+ degraded flag + violation in the profile)")
     parser.add_argument("--deadline", type=float, default=None, metavar="SEC",
-                        help="cooperative per-probe deadline: governed "
+                        help="per-probe wall-clock bound: governed "
                              "schedulers stop themselves at the next poll "
-                             "instead of burning CPU past a timeout")
+                             "and the probe degrades to the scheduler's "
+                             "fallback")
     parser.add_argument("--mem-limit", type=float, default=None, metavar="MB",
                         help="per-probe RSS watchdog threshold (MiB); pool "
                              "workers additionally install a hard "
@@ -317,9 +309,6 @@ def _add_fault_flags(parser) -> None:
                              "[lb, ub] brackets (value = ub, provenance "
                              "'anytime') instead of degrading straight to "
                              "the greedy fallback")
-    parser.add_argument("--jitter-seed", type=int, default=None, metavar="N",
-                        help="seed the retry-backoff jitter RNG for "
-                             "reproducible retry timing")
     parser.add_argument("--store", metavar="DIR",
                         help="durable cross-run result store directory "
                              "(created if missing): fsync'd, crash-safe, "

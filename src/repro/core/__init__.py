@@ -25,7 +25,6 @@ from .exceptions import (AuditFailure, BudgetExceededError,
                          GraphStructureError,
                          InfeasibleBudgetError, InvalidScheduleError,
                          PebbleGameError, ProbeCancelledError,
-                         ProbeTimeoutError,
                          RuleViolationError, StateSpaceTooLargeError,
                          StoppingConditionError)
 from .governor import (AnytimeResult, CancellationToken, current_token,
@@ -48,7 +47,6 @@ __all__ = [
     "AuditFailure", "BudgetExceededError", "GraphStructureError",
     "InfeasibleBudgetError",
     "InvalidScheduleError", "PebbleGameError", "ProbeCancelledError",
-    "ProbeTimeoutError",
     "RuleViolationError", "StateSpaceTooLargeError",
     "StoppingConditionError",
     "AnytimeResult", "CancellationToken", "current_token", "governed",

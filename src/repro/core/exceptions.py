@@ -54,45 +54,24 @@ class StateSpaceTooLargeError(GraphStructureError):
         return ctx
 
 
-class ProbeTimeoutError(PebbleGameError):
-    """A single cost probe exceeded its wall-clock timeout.
-
-    Raised by the sweep engine's fault-tolerance layer (see
-    :mod:`repro.analysis.faults`), not by schedulers themselves.
-
-    Attributes
-    ----------
-    key:
-        Identity of the timed-out probe (scheduler/graph/budget), or ``None``.
-    timeout:
-        The wall-clock limit, in seconds.
-    """
-
-    def __init__(self, message: str, key=None, timeout=None):
-        super().__init__(message)
-        self.key = key
-        self.timeout = timeout
-
-    def context(self) -> dict:
-        """Structured snapshot for logs and failure records."""
-        return {"key": self.key, "timeout": self.timeout}
-
-
 class ProbeCancelledError(PebbleGameError):
     """A governed computation observed its cancellation token and stopped.
 
     Raised by the cooperative poll sites (search cores, DP schedulers,
     schedule replay) when the active :class:`repro.core.governor.
-    CancellationToken` fires in *strict* (non-anytime) mode.  Unlike
-    :class:`ProbeTimeoutError` — which the fault layer raises on behalf
-    of an abandoned worker — this error means the computation itself
-    stopped promptly and released its resources.
+    CancellationToken` fires in *strict* (non-anytime) mode: a missed
+    ``--deadline``, the memory watchdog, or an external cancel.  The
+    computation itself stopped promptly and released its resources; the
+    sweep engine degrades the probe to its fallback scheduler (see
+    :mod:`repro.analysis.faults`).
 
     Attributes
     ----------
     reason:
         Why the token fired: one of ``repro.core.governor.REASONS``
-        (``"deadline"``, ``"memory"``, ``"timeout"``, ``"cancelled"``).
+        (``"deadline"``, ``"memory"``, ``"cancelled"``) or the reason
+        string an external :meth:`~repro.core.governor.CancellationToken.
+        cancel` passed.
     key:
         Identity of the cancelled probe when known, or ``None``.
     stats:

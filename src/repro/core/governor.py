@@ -17,8 +17,8 @@ public names):
   :func:`governed`) so the token reaches the hot loops of the search
   cores, the DP schedulers and the simulator without threading a
   parameter through every signature.  The fault layer installs a probe's
-  token inside the evaluation thread; cancelling it makes a timed-out
-  worker thread exit promptly instead of burning CPU as a zombie.
+  token around the evaluation; a cancelled or expired token makes the
+  evaluation stop at its next poll and release its resources.
 * :class:`AnytimeResult` — the graceful answer of a governed search:
   the best incumbent schedule found so far (``upper_bound`` is its
   simulated cost), an admissible ``lower_bound`` from the open frontier,
@@ -49,7 +49,7 @@ __all__ = ["REASONS", "SOURCES", "CancellationToken", "AnytimeResult",
 
 #: Termination reasons a governed search can end with.  ``"exact"`` means
 #: the search completed; everything else names the guard that stopped it.
-REASONS = ("exact", "deadline", "memory", "states", "cancelled", "timeout",
+REASONS = ("exact", "deadline", "memory", "states", "cancelled",
            "too-large")
 
 #: Where an :class:`AnytimeResult`'s upper bound (and schedule) came from.
@@ -124,8 +124,7 @@ class CancellationToken:
     ``None``) or :meth:`raise_if_cancelled`.  The token is thread-safe in
     the ways that matter: :meth:`cancel` publishes a plain attribute
     under the GIL, so a poll from any thread observes it on its next
-    check — this is exactly how a timed-out probe's abandoned worker
-    thread is told to stop.
+    check — this is how a draining daemon stops its in-flight probes.
 
     Parameters
     ----------

@@ -85,7 +85,7 @@ KINDS = ("probe", "repro")
 #: Where a recorded probe value came from, most to least exact.  The
 #: degradation ladder moves down: ``"exact"`` (ungoverned or completed
 #: search), ``"anytime"`` (certified ``[lb, ub]`` bracket, value = ub),
-#: ``"fallback"`` (greedy upper bound after timeout/state guard),
+#: ``"fallback"`` (greedy upper bound after deadline/state guard),
 #: ``"quarantined"`` (fallback after a failed audit).
 PROVENANCES = ("exact", "anytime", "fallback", "quarantined")
 _RANK = {p: i for i, p in enumerate(reversed(PROVENANCES))}

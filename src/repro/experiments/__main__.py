@@ -1,8 +1,7 @@
 """Run the full paper reproduction in one command:
 
     python -m repro.experiments [output_dir] [--jobs N] [--profile]
-                                [--timeout SEC] [--retries N]
-                                [--store DIR]
+                                [--deadline SEC] [--store DIR]
 
 Regenerates Table 1 and Figures 5-8, printing each and writing the text
 artifacts to ``output_dir`` (default ``./paper_artifacts``).  Every
@@ -12,19 +11,16 @@ are built from Table 1's rows rather than solving it again;
 ``--jobs`` fans their evaluation points out over worker processes and
 ``--profile`` prints the engine's :class:`SweepStats` report at the end.
 
-The fault-tolerance flags make multi-hour regenerations survivable:
-``--timeout``/``--retries`` guard each cost probe (timed-out probes
-degrade to the scheduler's designated fallback and are reported in the
-profile), and ``--store DIR`` writes completed probes through to a
-durable result store so a killed run resumes where it stopped instead of
-restarting from zero.
-
 The governance flags bound each probe's resources cooperatively:
-``--deadline SEC`` and ``--mem-limit MB`` arm a per-probe cancellation
-token (governed schedulers stop themselves at the next poll), and
-``--anytime`` makes stopped oracle probes answer with certified
-``[lb, ub]`` brackets — provenance-tagged in the artifacts and the
-profile — instead of degrading straight to the greedy fallback.
+``--deadline SEC`` (the per-probe time bound) and ``--mem-limit MB``
+arm a per-probe cancellation token (governed schedulers stop themselves
+at the next poll, and the probe degrades to the scheduler's designated
+fallback, reported in the profile), and ``--anytime`` makes stopped
+oracle probes answer with certified ``[lb, ub]`` brackets —
+provenance-tagged in the artifacts and the profile — instead of
+degrading straight to the greedy fallback.  ``--store DIR`` writes
+completed probes through to a durable result store so a killed run
+resumes where it stopped instead of restarting from zero.
 """
 
 from __future__ import annotations
@@ -42,15 +38,13 @@ from .table1 import render_table1, run_table1
 
 
 def main(out_dir: str = "paper_artifacts", jobs: int = 1,
-         profile: bool = False, timeout=None, retries: int = 0,
-         audit: str = "off", deadline=None, mem_limit_mb=None,
-         anytime: bool = False, jitter_seed=None, store=None) -> None:
+         profile: bool = False, audit: str = "off", deadline=None,
+         mem_limit_mb=None, anytime: bool = False, store=None) -> None:
     out = pathlib.Path(out_dir)
     out.mkdir(exist_ok=True)
-    eng = SweepEngine(jobs=jobs, timeout=timeout, retries=retries,
-                      audit=audit, deadline=deadline,
+    eng = SweepEngine(jobs=jobs, audit=audit, deadline=deadline,
                       mem_limit_mb=mem_limit_mb, anytime=anytime,
-                      jitter_seed=jitter_seed, store=store)
+                      store=store)
     # Table 1 is solved once, on the run's engine; Figs. 7 and 8 are
     # synthesized from its rows.
     solved: dict = {}
@@ -94,25 +88,20 @@ def _parse_args(argv=None):
                     help="worker processes for the sweep engine (default 1)")
     ap.add_argument("--profile", action="store_true",
                     help="print the sweep-engine instrumentation report")
-    ap.add_argument("--timeout", type=float, default=None, metavar="SEC",
-                    help="per-probe wall-clock limit (degrade on timeout)")
-    ap.add_argument("--retries", type=int, default=0, metavar="N",
-                    help="retries for transient probe failures")
     ap.add_argument("--audit",
                     choices=["off", "bounds", "replay", "differential"],
                     default="off",
                     help="verify every probe; failed audits quarantine "
                          "the probe and surface in --profile")
     ap.add_argument("--deadline", type=float, default=None, metavar="SEC",
-                    help="cooperative per-probe deadline (governed "
-                         "schedulers stop themselves at the next poll)")
+                    help="per-probe wall-clock bound (governed "
+                         "schedulers stop themselves at the next poll; "
+                         "the probe degrades to its fallback)")
     ap.add_argument("--mem-limit", type=float, default=None, metavar="MB",
                     help="per-probe RSS watchdog threshold (MiB)")
     ap.add_argument("--anytime", action="store_true",
                     help="stopped oracle probes answer with certified "
                          "[lb, ub] brackets instead of greedy fallbacks")
-    ap.add_argument("--jitter-seed", type=int, default=None, metavar="N",
-                    help="seed the retry-backoff jitter RNG")
     ap.add_argument("--store", metavar="DIR",
                     help="durable cross-run result store directory "
                          "(fsync'd, crash-safe, multi-process)")
@@ -122,7 +111,6 @@ def _parse_args(argv=None):
 if __name__ == "__main__":
     _args = _parse_args()
     main(_args.output_dir, jobs=_args.jobs, profile=_args.profile,
-         timeout=_args.timeout, retries=_args.retries, audit=_args.audit,
-         deadline=_args.deadline, mem_limit_mb=_args.mem_limit,
-         anytime=_args.anytime, jitter_seed=_args.jitter_seed,
+         audit=_args.audit, deadline=_args.deadline,
+         mem_limit_mb=_args.mem_limit, anytime=_args.anytime,
          store=_args.store)

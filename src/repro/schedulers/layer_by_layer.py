@@ -60,8 +60,9 @@ class LayerByLayerScheduler(Scheduler):
 
     def fallback_scheduler(self) -> Scheduler:
         """Degrade to greedy (Prop. 2.3): the spill simulation is linear
-        in moves but a pathological layer under a per-probe timeout still
-        needs a cheaper upper bound that accepts any CDAG."""
+        in moves and runs to completion under a deadline, but a probe
+        whose audit fails still needs a cheaper upper bound that accepts
+        any CDAG."""
         from .greedy import GreedyTopologicalScheduler
         return GreedyTopologicalScheduler()
 

@@ -206,8 +206,8 @@ def _canonical_strategy(spec: object) -> dict:
 
 
 def _budget(v: object, name: str = "budget") -> int:
-    _require(isinstance(v, int) and not isinstance(v, bool) and v >= 0,
-             f"{name!r} must be a non-negative int, got {v!r}")
+    _require(isinstance(v, int) and not isinstance(v, bool) and v > 0,
+             f"{name!r} must be a positive int, got {v!r}")
     return v
 
 

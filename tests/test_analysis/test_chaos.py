@@ -25,8 +25,12 @@ def test_sigkill_soak_and_zero_eval_resume(tmp_path):
     # Asserts, per kill: no committed record lost, no corrupt record
     # served; and at the end: a fresh engine resumes the finished sweep
     # byte-identically with zero scheduler evaluations.
-    run_sigkill_soak(str(tmp_path), kills=3, seed=1, dawdle=0.02,
-                     log=lambda *a: None)
+    lines = []
+    landed = run_sigkill_soak(str(tmp_path), kills=3, seed=1, dawdle=0.02,
+                              log=lines.append)
+    # Only the rounds whose victim outran its kill carry the label.
+    missed = sum("(victim finished first)" in line for line in lines)
+    assert missed == 3 - landed
 
 
 def test_soak_reference_is_deterministic():

@@ -191,6 +191,16 @@ class TestServiceProbe:
         assert not outcome.exact  # certified bracket, not a wrong answer
         assert outcome.lb <= outcome.ub
 
+    def test_store_refused_record_is_never_served(self, tmp_path):
+        # The store refuses budget 0; the probe must fail every time,
+        # never answer a later call from a cache the refusal left behind.
+        g = dwt_graph(8, 2)
+        with SweepEngine(store=str(tmp_path / "store"), anytime=True) as eng:
+            for _ in range(2):
+                with pytest.raises(ValueError, match="refusing to stage"):
+                    eng.probe(OptimalDWTScheduler(), g, 0)
+            assert eng._seed == {}
+
 
 class TestEngineMinMemory:
     def test_matches_scheduler_min_memory(self, dwt16):

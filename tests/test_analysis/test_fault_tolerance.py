@@ -1,12 +1,11 @@
 """Fault-injection tests for the sweep engine's fault-tolerance layer.
 
-Covers the failure modes a multi-hour sweep actually hits: hanging
-probes (timeout → degradation to the fallback scheduler), transient
-exceptions (bounded retries with backoff), dying pool workers
-(``BrokenProcessPool`` → re-dispatch → serial fallback), and process
-kills (durable store → resume with identical results).  The happy path is
-also pinned: with every knob at its default, the guarded engine must
-behave exactly like the unguarded one.
+Covers the failure modes a multi-hour sweep actually hits: runaway
+probes (deadline → degradation to the fallback scheduler), dying pool
+workers (``BrokenProcessPool`` → re-dispatch → serial fallback), and
+process kills (durable store → resume with identical results).  The
+happy path is also pinned: with every knob at its default, the guarded
+engine must behave exactly like the unguarded one.
 """
 
 from __future__ import annotations
@@ -19,12 +18,13 @@ import time
 
 import pytest
 
+import repro.analysis.engine as engine_mod
 from repro import serialize
-from repro.analysis import (FailureRecord, FaultPolicy, SweepEngine,
-                            SweepStats, call_with_timeout, log_budget_grid,
-                            run_probe, sweep)
+from repro.analysis import (CancellationToken, FailureRecord, FaultPolicy,
+                            SweepEngine, SweepStats, current_token, governed,
+                            log_budget_grid, run_probe, sweep)
 from repro.core import (GraphStructureError, InvalidScheduleError,
-                        ProbeTimeoutError, StateSpaceTooLargeError,
+                        ProbeCancelledError, StateSpaceTooLargeError,
                         min_feasible_budget)
 from repro.graphs import dwt_graph
 from repro.schedulers import (ExhaustiveScheduler, GreedyTopologicalScheduler,
@@ -34,8 +34,21 @@ from repro.schedulers import (ExhaustiveScheduler, GreedyTopologicalScheduler,
 # Fault-injection helpers (module level so they pickle into pool workers)
 
 
+def _sleep_polling(delay: float, step: float = 0.005) -> None:
+    """Sleep ``delay`` seconds in ``step`` slices, checking the ambient
+    token after each (a full check: the strided poll would outlast it)."""
+    end = time.monotonic() + delay
+    while time.monotonic() < end:
+        token = current_token()
+        if token is not None and token.check() is not None:
+            raise ProbeCancelledError(f"sleep cancelled ({token.reason})",
+                                      reason=token.reason)
+        time.sleep(step)
+
+
 class SleepyScheduler(GreedyTopologicalScheduler):
-    """Greedy costs behind an injected wall-clock hang per probe."""
+    """Greedy costs behind an injected wall-clock hang per probe that
+    polls the probe's cancellation token every 5 ms step."""
 
     name = "sleepy"
 
@@ -43,31 +56,19 @@ class SleepyScheduler(GreedyTopologicalScheduler):
         self.delay = delay
 
     def cost(self, cdag, budget=None):
-        time.sleep(self.delay)
+        _sleep_polling(self.delay)
         return super().cost(cdag, budget)
 
     def fallback_scheduler(self):
         return GreedyTopologicalScheduler()
 
 
-class FlakyCostFn:
-    """Raises a transient OSError for the first ``failures`` calls."""
-
-    def __init__(self, failures: int, exc=OSError):
-        self.remaining = failures
-        self.exc = exc
-        self.calls = 0
-
-    def __call__(self, budget: int) -> float:
-        self.calls += 1
-        if self.remaining:
-            self.remaining -= 1
-            raise self.exc("simulated transient failure")
-        return 1000.0 - budget
-
-
 def _echo_task(x, engine=None):
     return ("ok", x)
+
+
+def _policy_task(x, engine=None):
+    return x, engine.policy
 
 
 def _crash_once_task(flag_path, parent_pid, x, engine=None):
@@ -90,52 +91,15 @@ def _always_crash_task(parent_pid, x, engine=None):
 
 
 # --------------------------------------------------------------------- #
-# call_with_timeout / FaultPolicy / run_probe units
-
-
-def test_call_with_timeout_none_is_direct_call():
-    assert call_with_timeout(lambda: 42, None) == 42
-
-
-def test_call_with_timeout_returns_fast_result():
-    assert call_with_timeout(lambda: "done", 5.0, key="k") == "done"
-
-
-def test_call_with_timeout_raises_on_deadline():
-    with pytest.raises(ProbeTimeoutError) as err:
-        call_with_timeout(lambda: time.sleep(2.0), 0.05, key="slow-probe")
-    assert err.value.key == "slow-probe"
-    assert err.value.timeout == 0.05
-
-
-def test_call_with_timeout_propagates_exceptions():
-    def boom():
-        raise ValueError("inner")
-    with pytest.raises(ValueError, match="inner"):
-        call_with_timeout(boom, 5.0)
+# FaultPolicy / run_probe units
 
 
 def test_fault_policy_inert_by_default():
-    assert not FaultPolicy().active
-    assert FaultPolicy(timeout=1.0).active
-    assert FaultPolicy(retries=2).active
-
-
-def test_fault_policy_backoff_is_exponential():
-    p = FaultPolicy(backoff=0.1, jitter=0.0)
-    assert [p.delay(a) for a in range(3)] == pytest.approx([0.1, 0.2, 0.4])
-    jittered = FaultPolicy(backoff=0.1, jitter=0.5).delay(0)
-    assert 0.1 <= jittered <= 0.15
-
-
-def test_fault_policy_never_retries_game_errors():
-    p = FaultPolicy(retries=3)
-    assert p.is_transient(OSError("io"))
-    assert p.is_transient(EOFError())
-    assert not p.is_transient(ValueError("deterministic"))
-    # Deterministic pebble-game errors must not be retried even though
-    # a custom transient tuple could nominally match them.
-    assert not p.is_transient(StateSpaceTooLargeError("too big"))
+    assert not FaultPolicy().governed
+    assert FaultPolicy().make_token() is None
+    assert FaultPolicy(deadline=1.0).governed
+    assert FaultPolicy(mem_limit_mb=512.0).governed
+    assert FaultPolicy(anytime=True).governed
 
 
 def test_run_probe_clean_path_records_nothing():
@@ -146,57 +110,53 @@ def test_run_probe_clean_path_records_nothing():
     assert failures == []
 
 
-def test_run_probe_retries_transient_then_succeeds():
-    fn = FlakyCostFn(2)
-    failures, delays = [], []
-    value, degraded = run_probe(
-        lambda: fn(16), key="flaky", policy=FaultPolicy(retries=3),
-        failures=failures, sleep=delays.append)
-    assert (value, degraded) == (984.0, False)
-    assert fn.calls == 3 and len(delays) == 2
-    (rec,) = failures
-    assert rec.resolution == "retried" and rec.attempts == 3
-    assert rec.exception == "OSError"
-
-
-def test_run_probe_exhausted_retries_raise():
-    fn = FlakyCostFn(10)
-    failures = []
-    with pytest.raises(OSError):
-        run_probe(lambda: fn(16), key="flaky", policy=FaultPolicy(retries=2),
-                  failures=failures, sleep=lambda s: None)
-    assert fn.calls == 3
-    assert failures[-1].resolution == "failed"
-
-
 def test_run_probe_does_not_retry_deterministic_errors():
-    fn = FlakyCostFn(10, exc=ValueError)
-    failures = []
+    calls, failures = [], []
+
+    def boom():
+        calls.append(1)
+        raise ValueError("deterministic")
     with pytest.raises(ValueError):
-        run_probe(lambda: fn(16), key="det", policy=FaultPolicy(retries=5),
-                  failures=failures, sleep=lambda s: None)
-    assert fn.calls == 1  # no retry: re-running cannot change the outcome
+        run_probe(boom, key="det", policy=FaultPolicy(), failures=failures)
+    assert len(calls) == 1  # no retry: re-running cannot change the outcome
     assert failures[-1].resolution == "failed" and failures[-1].attempts == 1
 
 
 def test_run_probe_degrades_on_timeout_with_fallback():
+    # The deadline is the per-probe time bound: the evaluation polls its
+    # token, stops itself, and the fallback answers.
     failures = []
     value, degraded = run_probe(
-        lambda: time.sleep(2.0), key="hang",
-        policy=FaultPolicy(timeout=0.05),
+        lambda: _sleep_polling(2.0), key="hang",
+        policy=FaultPolicy(deadline=0.05),
         failures=failures, fallback=lambda: 99)
     assert (value, degraded) == (99, True)
     (rec,) = failures
     assert rec.resolution == "degraded"
-    assert rec.exception == "ProbeTimeoutError"
+    assert rec.exception == "ProbeCancelledError"
+    assert rec.context["reason"] == "deadline"
+    assert rec.elapsed < 1.0
 
 
 def test_run_probe_timeout_without_fallback_raises():
     failures = []
-    with pytest.raises(ProbeTimeoutError):
-        run_probe(lambda: time.sleep(2.0), key="hang",
-                  policy=FaultPolicy(timeout=0.05), failures=failures)
+    with pytest.raises(ProbeCancelledError):
+        run_probe(lambda: _sleep_polling(2.0), key="hang",
+                  policy=FaultPolicy(deadline=0.05), failures=failures)
     assert failures[-1].resolution == "failed"
+
+
+def test_ungoverned_run_probe_runs_under_the_ambient_token():
+    # No deadline of its own: a service request's token still governs.
+    request = CancellationToken()
+    seen = []
+    with governed(request):
+        run_probe(lambda: seen.append(current_token()), key="k",
+                  policy=FaultPolicy())
+        run_probe(lambda: seen.append(current_token()), key="k",
+                  policy=FaultPolicy(deadline=60.0))
+    assert seen[0] is request
+    assert seen[1] is not request and seen[1].parent is request
 
 
 # --------------------------------------------------------------------- #
@@ -237,10 +197,9 @@ def test_engine_degrades_exhaustive_to_designated_fallback():
 
 def test_engine_without_fallback_propagates_guard_error():
     g = dwt_graph(8, 3)
-    # An active policy (the timeout never fires here) routes probes
-    # through the guard layer, which records the failure; without a
-    # fallback the guard error still propagates.
-    eng = SweepEngine(timeout=30.0, fallback=None)
+    # Every probe runs through the guard layer, which records the
+    # failure; without a fallback the guard error still propagates.
+    eng = SweepEngine(fallback=None)
     with eng.probe_context("figX"):
         with pytest.raises(StateSpaceTooLargeError):
             eng.sweep(ExhaustiveScheduler(max_nodes=4), g,
@@ -251,50 +210,33 @@ def test_engine_without_fallback_propagates_guard_error():
 
 
 # --------------------------------------------------------------------- #
-# Engine-level timeouts, retries, degradation
+# Engine-level deadlines and degradation
 
 
 def test_engine_timeout_degrades_to_fallback_costs():
     g = dwt_graph(8, 3)
     budgets = [g.total_weight()]
-    eng = SweepEngine(timeout=0.05)
+    eng = SweepEngine(deadline=0.05)
     series = eng.sweep(SleepyScheduler(delay=1.0), g, budgets, "sleepy")
     assert list(series.costs) == GreedyTopologicalScheduler().cost_many(
         g, budgets)
     assert series.degraded == tuple(budgets)
-    assert eng.stats.failures[0].exception == "ProbeTimeoutError"
+    assert eng.stats.failures[0].exception == "ProbeCancelledError"
     assert eng.stats.failures[0].resolution == "degraded"
 
 
 def test_engine_timeout_without_fallback_raises():
     g = dwt_graph(8, 3)
-    eng = SweepEngine(timeout=0.05, fallback=None)
-    with pytest.raises(ProbeTimeoutError):
+    eng = SweepEngine(deadline=0.05, fallback=None)
+    with pytest.raises(ProbeCancelledError):
         eng.sweep(SleepyScheduler(delay=1.0), g, [g.total_weight()], "sleepy")
-
-
-def test_engine_retries_transient_raw_cost_failures():
-    fn = FlakyCostFn(2)
-    eng = SweepEngine(retries=3, backoff=0.0, jitter=0.0)
-    series = eng.sweep_fn(fn, [16, 32], "flaky", key=("flaky",))
-    assert series.costs == (984.0, 968.0)
-    assert fn.calls == 4  # 3 tries for the first budget, 1 for the second
-    assert eng.stats.failure_counts() == {"retried": 1}
-
-
-def test_engine_retries_exhausted_raise():
-    fn = FlakyCostFn(10)
-    eng = SweepEngine(retries=1, backoff=0.0, jitter=0.0)
-    with pytest.raises(OSError):
-        eng.sweep_fn(fn, [16], "flaky", key=("flaky2",))
-    assert eng.stats.failure_counts() == {"failed": 1}
 
 
 def test_stats_report_includes_failures():
     stats = SweepStats()
     stats.failures.append(FailureRecord(
-        key="fig6:Sleepy#B=64", exception="ProbeTimeoutError",
-        message="probe exceeded 0.05s", attempts=1, elapsed=0.06,
+        key="fig6:Sleepy#B=64", exception="ProbeCancelledError",
+        message="probe cancelled (deadline)", attempts=1, elapsed=0.06,
         resolution="degraded"))
     stats.pool_restarts = 1
     text = stats.report()
@@ -309,7 +251,7 @@ def test_stats_report_includes_failures():
 
 def test_default_engine_policy_is_inert():
     eng = SweepEngine()
-    assert not eng.policy.active
+    assert not eng.policy.governed
     assert eng.store is None
 
 
@@ -318,7 +260,7 @@ def test_guarded_engine_matches_direct_sweep_bit_for_bit():
     grid = log_budget_grid(min_feasible_budget(g), g.total_weight(), 8)
     direct = sweep(lambda b: OptimalDWTScheduler().cost(g, b), grid, "opt")
     for eng in (SweepEngine(),
-                SweepEngine(timeout=60.0, retries=2),  # active but untripped
+                SweepEngine(deadline=60.0),  # governed but untripped
                 SweepEngine(fallback=None)):
         got = eng.sweep(OptimalDWTScheduler(), g, grid, "opt")
         assert got == direct  # includes degraded == ()
@@ -327,6 +269,14 @@ def test_guarded_engine_matches_direct_sweep_bit_for_bit():
 
 def test_map_of_no_tasks_returns_empty_list():
     assert SweepEngine(jobs=4).map([]) == []  # must not build a 0-worker pool
+
+
+def test_pool_workers_inherit_the_probe_guard():
+    eng = SweepEngine(jobs=2, deadline=30.0, mem_limit_mb=8192.0,
+                      anytime=True)
+    results = eng.map([(_policy_task, (i,)) for i in range(2)])
+    assert [x for x, _ in results] == [0, 1]
+    assert all(policy == eng.policy for _, policy in results)
 
 
 # --------------------------------------------------------------------- #
@@ -345,8 +295,9 @@ def test_broken_pool_redispatches_lost_tasks(tmp_path):
                for f in eng.stats.failures)
 
 
-def test_repeated_pool_deaths_fall_back_to_serial(tmp_path):
-    eng = SweepEngine(jobs=2, max_pool_restarts=0)
+def test_repeated_pool_deaths_fall_back_to_serial(tmp_path, monkeypatch):
+    monkeypatch.setattr(engine_mod, "MAX_POOL_RESTARTS", 0)
+    eng = SweepEngine(jobs=2)
     results = eng.map([(_always_crash_task, (os.getpid(), i))
                        for i in range(2)])
     assert results == [("serial", 0), ("serial", 1)]

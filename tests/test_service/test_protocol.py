@@ -77,6 +77,7 @@ class TestValidation:
         (lambda o: o.update(deadline=-2), "bad-request"),
         (lambda o: o.update(mem_limit_mb=0), "bad-request"),
         (lambda o: o.update(id={"not": "scalar"}), "bad-request"),
+        (lambda o: o.update(budget=0), "bad-request"),
     ])
     def test_bad_probe_requests(self, mutate, want):
         obj = {"verb": "probe", "graph": dict(DWT8),
@@ -85,7 +86,8 @@ class TestValidation:
         assert code_of(obj) == want
 
     @pytest.mark.parametrize("budgets", [None, [], "48", [48, "x"],
-                                         [48, True], list(range(300))])
+                                         [48, True], list(range(300)),
+                                         [48, 0]])
     def test_bad_sweep_budgets(self, budgets):
         assert code_of({"verb": "sweep", "graph": dict(DWT8),
                         "strategy": "greedy",
