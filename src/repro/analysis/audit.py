@@ -134,6 +134,17 @@ class Auditor:
         and bumps :attr:`inconclusive` instead of manufacturing a
         violation.  Cooperative cancellations inside a check likewise
         count as inconclusive, never as findings.
+
+    Attributes
+    ----------
+    store:
+        ``None`` (default) or an open :class:`~repro.core.store.
+        ResultStore` that :meth:`optimum_bracket` reads and writes its
+        own oracle's records through, keyed by ``(oracle.cache_key(),
+        graph_fingerprint, budget)``: a committed ``exact`` record
+        answers without searching, and every fresh optimum (or strict
+        bracket, as ``anytime``) is committed.  ``fuzz --store`` sets it
+        so a re-fuzzed seed reuses every prior optimum.
     """
 
     level: str = "off"
@@ -155,6 +166,7 @@ class Auditor:
         #: checks that could not be decided under governance (spanning
         #: oracle bracket, cancelled sub-check) — never violations
         self.inconclusive: int = 0
+        self.store = None
 
     @property
     def active(self) -> bool:
@@ -303,7 +315,9 @@ class Auditor:
         when no valid schedule exists, a strict bracket when governance
         stopped it early, ``None`` when the instance is out of the
         differential regime (too large / state cap tripped ungoverned /
-        cancelled without an incumbent)."""
+        cancelled without an incumbent).  With :attr:`store` set, a
+        committed exact record answers without searching and a fresh
+        answer is committed."""
         if len(cdag) > self.max_exhaustive_nodes:
             return None
         key = (id(cdag), budget)
@@ -311,17 +325,34 @@ class Auditor:
         if hit is not None and hit[0] is cdag:
             return hit[1]
         oracle = self._oracle()
+        skey = gkey = stored = None
+        if self.store is not None and isinstance(budget, int) and budget > 0:
+            from ..core.store import graph_fingerprint
+            skey, gkey = oracle.cache_key(), graph_fingerprint(cdag)
+            stored = self.store.get_probe(skey, gkey, budget)
+        if stored is not None and stored[2] == "exact":
+            bracket = (float(stored[0]), float(stored[0]))
+            self._opt_cache[key] = (cdag, bracket)
+            return bracket
         try:
-            ub = float(
-                oracle.cost_many(cdag, (budget,), memo=self._oracle_memo)[0])
-            bag = self._oracle_memo.get("anytime_results")
-            ares = bag.pop(budget, None) if bag else None
-            bracket = (ub, ub) if ares is None else \
-                (float(ares.lower_bound), ub)
-        except ProbeCancelledError:
-            bracket = None  # cancelled before any incumbent: no evidence
-        except (StateSpaceTooLargeError, GraphStructureError):
-            bracket = None
+            cost = oracle.cost_many(cdag, (budget,),
+                                    memo=self._oracle_memo)[0]
+        except (ProbeCancelledError, StateSpaceTooLargeError,
+                GraphStructureError):
+            # Out of the regime, or cancelled before any incumbent.
+            self._opt_cache[key] = (cdag, None)
+            return None
+        bag = self._oracle_memo.get("anytime_results")
+        ares = bag.pop(budget, None) if bag else None
+        if skey is not None and ares is None:
+            self.store.put_probe(skey, gkey, budget, cost)
+        elif skey is not None:
+            # A strict bracket is kept as ``anytime``: the store's merge
+            # rule replaces it once anyone solves the probe exactly.
+            self.store.put_probe(skey, gkey, budget, cost, degraded=True,
+                                 provenance="anytime", lb=ares.lower_bound)
+        lb = cost if ares is None else ares.lower_bound
+        bracket = (float(lb), float(cost))
         self._opt_cache[key] = (cdag, bracket)
         return bracket
 

@@ -28,11 +28,12 @@ Two attack modes:
 
 * **randomized SIGKILL soak** (:func:`run_sigkill_soak`): a victim
   subprocess runs a real governed sweep (the exhaustive oracle through
-  :class:`~repro.analysis.engine.SweepEngine`, write-through store) and
-  the parent ``SIGKILL``s it at a random offset, ``--kills`` times,
-  asserting after every kill that the committed key set only grows and
-  every served record matches the reference; a final unkilled run plus a
-  fresh-engine resume closes with invariant 3.
+  :class:`~repro.analysis.engine.SweepEngine`, which commits every probe
+  it evaluates) and the parent ``SIGKILL``s it at a random offset inside
+  its probe phase, ``--kills`` times, asserting after every kill that the
+  committed key set only grows and every served record matches the
+  reference; at least one kill must leave records uncommitted.  A final
+  unkilled run plus a fresh-engine resume closes with invariant 3.
 
 * **service soak** (:func:`run_service_soak`): the scheduling daemon
   (``python -m repro.cli serve``) under concurrent mixed-tenant client
@@ -148,11 +149,14 @@ def _victim_compact(store_dir: str, point: str) -> None:
 
 def _victim_sweep(store_dir: str, dawdle: float) -> None:
     """Run the governed soak sweep with write-through durability,
-    dawdling between probes so the parent's SIGKILL lands mid-run."""
+    dawdling between probes so the parent's SIGKILL lands mid-run.
+    Prints ``probing`` once start-up is over: the parent times its kill
+    from that line."""
     from ..schedulers import ExhaustiveScheduler
     from .engine import SweepEngine
     sched = ExhaustiveScheduler()
     with SweepEngine(store=store_dir, deadline=30.0) as eng:
+        print("probing", flush=True)
         for cdag, budgets in _soak_workload():
             for b in budgets:
                 eng.sweep(sched, cdag, [b], "chaos")
@@ -164,14 +168,28 @@ def _victim_sweep(store_dir: str, dawdle: float) -> None:
 # Parent-side orchestration
 
 
-def _spawn(args: List[str]) -> subprocess.Popen:
+def _spawn(args: List[str], stdout=subprocess.DEVNULL) -> subprocess.Popen:
     src_root = os.path.dirname(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))))
     env = dict(os.environ)
     env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.Popen(
         [sys.executable, "-m", "repro.analysis.chaos"] + args,
-        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+        env=env, stdout=stdout, stderr=subprocess.PIPE)
+
+
+def _start_sweep_victim(store_dir: str, dawdle: float) -> subprocess.Popen:
+    """Spawn a sweep victim and return once it has started probing."""
+    proc = _spawn(["--victim", "sweep", "--store", store_dir,
+                   "--dawdle", str(dawdle)], stdout=subprocess.PIPE)
+    ready, _, _ = select.select([proc.stdout], [], [], 120.0)
+    line = proc.stdout.readline() if ready else b""
+    if line.strip() != b"probing":
+        proc.kill()
+        _, err = proc.communicate(timeout=60)
+        raise AssertionError(f"sweep victim never started probing (got "
+                             f"{line!r})\n{err.decode(errors='replace')}")
+    return proc
 
 
 def _load_clean(store_dir: str) -> ResultStore:
@@ -254,22 +272,37 @@ def run_crash_points(root: str, log=print) -> int:
 
 
 def run_sigkill_soak(root: str, kills: int = 20, seed: int = 0,
-                     dawdle: float = 0.02, log=print) -> int:
-    """Randomized phase: ``kills`` SIGKILLs of a live governed sweep at
-    random offsets, then a clean finish and a zero-eval resume.  Returns
-    the number of kills that landed mid-run."""
+                     dawdle: float = 0.02, log=print) -> Tuple[int, int]:
+    """Randomized phase: ``kills`` SIGKILLs of a live governed sweep,
+    then a clean finish and a zero-eval resume.
+
+    Kill offsets are drawn inside the probe phase of one clean victim,
+    timed first from its ``probing`` line to its exit, so kills land
+    while records are still being committed; a round that finds the
+    store complete starts the next one on a fresh store.  Fails when no
+    kill left records uncommitted.  Returns ``(landed, cut)``: the kills
+    that landed while the victim ran, and those that left records
+    uncommitted."""
     from ..schedulers import ExhaustiveScheduler
     from .engine import SweepEngine
     store_dir = os.path.join(root, "soak")
-    shutil.rmtree(store_dir, ignore_errors=True)
     expected = _reference()
+    timing_dir = os.path.join(root, "soak-timing")
+    shutil.rmtree(timing_dir, ignore_errors=True)
+    proc = _start_sweep_victim(timing_dir, dawdle)
+    t0 = time.monotonic()
+    _, err = proc.communicate(timeout=600)
+    phase = time.monotonic() - t0
+    assert proc.returncode == 0, err.decode(errors="replace")
+    shutil.rmtree(timing_dir, ignore_errors=True)
+
+    shutil.rmtree(store_dir, ignore_errors=True)
     rng = random.Random(seed)
     committed: set = set()
-    landed = 0
+    landed = cut = 0
     for i in range(max(0, int(kills))):
-        proc = _spawn(["--victim", "sweep", "--store", store_dir,
-                       "--dawdle", str(dawdle)])
-        time.sleep(rng.uniform(0.05, 1.5))
+        proc = _start_sweep_victim(store_dir, dawdle)
+        time.sleep(rng.uniform(0.0, phase))
         killed = proc.poll() is None
         if killed:
             proc.send_signal(signal.SIGKILL)
@@ -284,9 +317,19 @@ def run_sigkill_soak(root: str, kills: int = 20, seed: int = 0,
             assert value == (expected[key], False, "exact", None), (
                 f"kill #{i}: served {value} for {key}, expected exact "
                 f"{expected[key]}")
-        committed = set(served)
+        missing = len(expected) - len(served)
+        if killed and missing:
+            cut += 1
         log(f"kill #{i + 1:>3}: {len(served)}/{len(expected)} records "
             f"durable{'' if killed else ' (victim finished first)'}")
+        if missing:
+            committed = set(served)
+        else:  # nothing left to cut short: start the next round afresh
+            shutil.rmtree(store_dir)
+            committed = set()
+    assert kills <= 0 or cut, (
+        f"none of {kills} kills left records uncommitted (probe phase "
+        f"{phase:.3f} s): the soak never attacked the commit path")
     # Clean finish: an unkilled victim completes the sweep.
     proc = _spawn(["--victim", "sweep", "--store", store_dir,
                    "--dawdle", "0"])
@@ -309,10 +352,10 @@ def run_sigkill_soak(root: str, kills: int = 20, seed: int = 0,
                    for b in budgets)
              for cdag, budgets in _soak_workload()]
     assert resumed == fresh, f"resume drifted: {resumed} != {fresh}"
-    log(f"soak: {landed}/{kills} kills landed mid-run, "
-        f"{len(served)} records durable, resume byte-identical with "
-        f"0 re-evaluations")
-    return landed
+    log(f"soak: {landed}/{kills} kills landed mid-run, {cut} left records "
+        f"uncommitted (probe phase {phase:.2f} s), {len(served)} records "
+        f"durable, resume byte-identical with 0 re-evaluations")
+    return landed, cut
 
 
 # --------------------------------------------------------------------- #
@@ -772,10 +815,11 @@ def main(argv=None) -> int:
     crashes = 0
     if not args.skip_points:
         crashes = run_crash_points(args.store)
-    landed = 0
+    rounds = landed = cut = 0
     if not args.skip_soak:
-        landed = run_sigkill_soak(args.store, kills=args.kills,
-                                  seed=args.seed, dawdle=args.dawdle)
+        rounds = max(0, args.kills)
+        landed, cut = run_sigkill_soak(args.store, kills=rounds,
+                                       seed=args.seed, dawdle=args.dawdle)
     service_kills = 0
     if args.service_kills > 0:
         service_kills = run_service_soak(
@@ -787,10 +831,10 @@ def main(argv=None) -> int:
             args.store, replicas=args.replicas,
             kills=args.partition_kills, seed=args.seed,
             clients=args.clients)
-    print(f"chaos: {crashes} injected crash points + {args.kills} "
-          f"SIGKILL rounds ({landed} landed) + {service_kills} service "
-          f"kills + {partition_kills} partition kills — all invariants "
-          f"held")
+    print(f"chaos: {crashes} injected crash points + {rounds} SIGKILL "
+          f"rounds ({landed} landed, {cut} left records uncommitted) + "
+          f"{service_kills} service kills + {partition_kills} partition "
+          f"kills — all invariants held")
     return 0
 
 

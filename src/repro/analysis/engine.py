@@ -339,7 +339,7 @@ class CachedCostFn:
                         ) -> Tuple[str, Optional[Tuple[float, float]]]:
         """Pop the inexact bracket a governed oracle parked for ``budget``
         (``memo["anytime_results"]``, see ``ExhaustiveScheduler.
-        _cost_many_anytime``) and record the episode.  Returns
+        cost_many``) and record the episode.  Returns
         ``(provenance, (lb, ub))`` — ``("exact", None)`` when the probe
         completed normally."""
         bag = self._memo.get("anytime_results")
@@ -578,13 +578,14 @@ class SweepEngine:
     store:
         Path of a durable cross-run :class:`~repro.core.store.ResultStore`
         directory (created if missing) or an open store instance.  Every
-        completed probe is written through to it (fsync'd, crash-safe),
-        every cost function preloads from it, its name ships to pool
-        workers (each opens its own handle; the store's locked commit
-        protocol deduplicates), and the oracle reuses its exact records
-        via ``memo["result_store"]``.  The store is the only way a probe
-        result crosses runs or processes.  ``None`` (default) leaves
-        every artifact byte-identical to a store-less engine.
+        cost function preloads from it, and every probe is committed to
+        it (fsync'd, crash-safe) once it has been evaluated, audited and
+        labelled — by the engine that evaluated it: its name ships to
+        pool workers, whose engines open their own handles and commit
+        their own probes.  Evaluations themselves do no I/O.  The store
+        is the only way a probe result crosses runs or processes.
+        ``None`` (default) leaves every artifact byte-identical to a
+        store-less engine.
     checkpoint:
         Path of a probe journal written by earlier releases.  If the
         file exists it is folded into ``store`` once on startup (see
@@ -698,8 +699,8 @@ class SweepEngine:
         """Stable content identity of a graph for persisted probes: name,
         node count, and a fingerprint of the weighted structure — safe
         across processes and runs (unlike ``id``).  Computed by
-        :func:`repro.core.store.graph_fingerprint` (one address shared by
-        the result store and the oracle), cached per graph object here."""
+        :func:`repro.core.store.graph_fingerprint`, cached per graph
+        object here."""
         from ..core.store import graph_fingerprint
         key = id(cdag)
         entry = self._graph_keys.get(key)
@@ -729,10 +730,13 @@ class SweepEngine:
 
     def _record_probes(self, probes) -> None:
         """Fold ``(sched key, graph key, budget, cost, degraded,
-        provenance, lb)`` rows harvested from a worker into this engine's
-        seed (and store), so later cost functions reuse them."""
-        for row in probes:
-            self._record_probe(*row)
+        provenance, lb)`` rows harvested from a pool worker into this
+        engine's seed, so later cost functions reuse them.  The worker's
+        engine already committed them to the store: each probe is
+        committed once, by the process that evaluated it."""
+        with self._record_lock:
+            for sched_key, gkey, budget, *value in probes:
+                self._seed[(sched_key, gkey, budget)] = tuple(value)
 
     def _fallback_for(self, scheduler):
         if self.fallback == AUTO_FALLBACK:
@@ -762,10 +766,6 @@ class SweepEngine:
                               auditor=self.auditor)
             fn.preload({b: v for (s, g, b), v in self._seed.items()
                         if s == sched_key and g == gkey})
-            if self.store is not None:
-                # The oracle serves exact records straight from the
-                # durable store and writes fresh results back through it.
-                fn._memo["result_store"] = self.store
             self._fns[key] = fn
         return fn
 

@@ -347,10 +347,11 @@ def fuzz(seeds: Sequence[int] = (0, 1, 2), level: str = "differential",
     probe order; only how far each probe gets may differ.
 
     ``store`` (an open :class:`~repro.core.store.ResultStore` or a store
-    directory path) makes repeated fuzz runs cheap: the differential
-    auditor's oracle probes read and write durable exact records through
-    it (a re-fuzzed seed reuses every prior optimum), and each failure's
-    repro document is archived in it alongside any ``out_dir`` file.
+    directory path) makes repeated fuzz runs cheap: it becomes the
+    auditor's :attr:`~repro.analysis.audit.Auditor.store`, so the
+    differential optima are read from and committed to it (a re-fuzzed
+    seed reuses every prior optimum), and each failure's repro document
+    is archived in it alongside any ``out_dir`` file.
     """
     governed_run = deadline is not None or mem_limit_mb is not None
     auditor = Auditor(level=level, governed=governed_run)
@@ -359,10 +360,7 @@ def fuzz(seeds: Sequence[int] = (0, 1, 2), level: str = "differential",
     if owns_store:
         from ..core.store import ResultStore
         store = ResultStore(store)
-    if store is not None:
-        # The auditor threads one memo through every differential oracle
-        # probe; seeding it routes those probes through the store.
-        auditor._oracle_memo["result_store"] = store
+    auditor.store = store  # differential optima read and write through it
 
     def archive(failure: FuzzFailure) -> None:
         if store is None:

@@ -161,15 +161,13 @@ def minimum_fast_memory(
 
 
 def scheduler_min_memory(scheduler, cdag: CDAG, step: Optional[int] = None,
-                         hi: Optional[int] = None,
-                         store=None) -> Optional[int]:
+                         hi: Optional[int] = None) -> Optional[int]:
     """Minimum fast memory size (Def. 2.6) of a scheduler on ``cdag``:
     the smallest budget at which its cost equals the algorithmic lower
     bound.  ``step`` defaults to the GCD of node weights (word granularity);
-    ``hi`` defaults to the whole graph resident at once.  ``store`` (an
-    open :class:`~repro.core.store.ResultStore` or a store directory
-    path) lets store-aware schedulers — the exhaustive oracle — serve
-    and persist exact probes durably across runs."""
+    ``hi`` defaults to the whole graph resident at once.  The search does
+    no I/O; for cached, durable probes use
+    :meth:`repro.analysis.engine.SweepEngine.min_memory` with ``store=``."""
     target = algorithmic_lower_bound(cdag)
     lo = min_feasible_budget(cdag)
     if hi is None:
@@ -180,8 +178,6 @@ def scheduler_min_memory(scheduler, cdag: CDAG, step: Optional[int] = None,
     # budget-independent state (DP memos, the oracle's transposition
     # table) reuse work across adjacent binary-search probes.
     memo: dict = {}
-    if store is not None:
-        memo["result_store"] = store
 
     def probe(b: int) -> float:
         return scheduler.cost_many(cdag, (b,), memo=memo)[0]

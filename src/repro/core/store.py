@@ -120,8 +120,9 @@ _SEG_SUFFIX = ".log"
 def graph_fingerprint(cdag: CDAG) -> str:
     """Stable content identity of a graph: name, node count, and a hash
     of the weighted structure — safe across processes and runs (unlike
-    ``id``).  ``SweepEngine.graph_key`` delegates here, so the engine,
-    the store, and the oracle agree on one address."""
+    ``id``).  ``SweepEngine.graph_key`` and ``Auditor.optimum_bracket``
+    key their store records by it, so every writer agrees on one
+    address."""
     h = hashlib.sha1()
     for v in sorted(cdag, key=repr):
         h.update(repr((v, cdag.weight(v),
@@ -771,44 +772,15 @@ class ResultStore:
 
     def close(self) -> None:
         """Commit pending records and mark the handle closed.
-        Idempotent; reads keep working, writes raise.
-
-        A handle that is (or shadows) this process's :func:`open_cached`
-        entry also evicts itself from the cache, so a long-lived process
-        that closes a store and later reopens the same path — a daemon
-        restarting its engine in-process, a test tearing one engine down
-        and building another — gets a *fresh* handle with a fresh scan
-        instead of the closed (write-refusing) one."""
+        Idempotent; reads keep working, writes raise.  Reopening the
+        path later gives a fresh handle with a fresh scan."""
         if self._closed:
             return
         self.flush()
         self._closed = True
-        key = (os.path.abspath(self.path), os.getpid())
-        if _OPEN_STORES.get(key) is self:
-            del _OPEN_STORES[key]
 
     def __enter__(self) -> "ResultStore":
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-# --------------------------------------------------------------------- #
-# Shared per-process handles (memo plumbing)
-
-_OPEN_STORES: Dict[Tuple[str, int], ResultStore] = {}
-
-
-def open_cached(path) -> ResultStore:
-    """One shared writer handle per (path, process) — the memo plumbing
-    (``memo["result_store"]``) uses this so repeated ``cost_many`` calls
-    and forked pool workers each get exactly one handle instead of
-    re-scanning the segments per call.  Keyed by pid: a forked child
-    never reuses (and never double-flushes) its parent's handle."""
-    key = (os.path.abspath(os.fspath(path)), os.getpid())
-    store = _OPEN_STORES.get(key)
-    if store is None or store._closed:
-        store = ResultStore(path)
-        _OPEN_STORES[key] = store
-    return store

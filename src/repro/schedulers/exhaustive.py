@@ -24,8 +24,6 @@ both paths return byte-identical optimal costs wherever both complete.
 from __future__ import annotations
 
 import heapq
-import math
-import os
 from typing import Dict, List, Optional, Tuple
 
 from ..core.bounds import algorithmic_lower_bound, require_feasible
@@ -244,161 +242,54 @@ class ExhaustiveScheduler(Scheduler):
         The sweep engine passes a persistent per-(scheduler, graph) memo
         dict here, so ``minimum_fast_memory``'s binary search and repeated
         sweep probes reuse settled-search by-products (heuristic values,
-        solved-budget brackets) instead of restarting from scratch.
+        solved-budget brackets) instead of restarting from scratch.  Each
+        distinct budget is solved once, even if the caller repeats it.
 
         In anytime mode, degraded probes report their upper bound in the
         returned list and park the full bracket in the memo under
         ``"anytime_results"`` (budget → :class:`AnytimeResult`), where the
         sweep engine's provenance ladder picks it up.
 
-        A ``"result_store"`` memo key (an open
-        :class:`~repro.core.store.ResultStore` or a store directory
-        path) survives graph changes and makes the oracle durable:
-        probes with a committed ``exact`` record are served from the
-        store without searching (and seed the transposition table), and
-        every fresh exact cost — including infeasibility — is written
-        back through it.
+        The oracle only computes and does no I/O: the engine that
+        evaluates a probe audits, labels and commits it.
         """
-        if self._anytime_mode():
-            return self._cost_many_anytime(cdag, budgets, memo)
-        if self.core == "legacy":
-            return super().cost_many(cdag, budgets, memo=memo)
         from ..core.exceptions import InfeasibleBudgetError
-        state = self._memo_state(memo, cdag)
-        table = state.get("table")
-        if table is None:
-            table = state["table"] = self._make_table(cdag)
-        store, skey, gkey = self._store_keys(state, cdag)
-        # One solve per *distinct* budget (a caller's list may repeat
-        # budgets), and a store read-through pre-pass: every budget with
-        # a committed exact record seeds the table *before* the first
-        # fresh search, so a stored high-budget optimum prunes every
-        # fresh search in this call regardless of the caller's budget
-        # order.
-        unique = list(dict.fromkeys(budgets))
-        resolved: Dict = {}
-        if store is not None:
-            for b in unique:
-                if not self._durable_budget(b):
-                    continue
-                stored = store.get_probe(skey, gkey, b)
-                if stored is not None and stored[2] == "exact":
-                    cost = stored[0]
-                    if math.isfinite(cost):
-                        table.record(b, int(cost))
-                    resolved[b] = cost
-        for b in unique:
-            if b in resolved:
-                continue
-            try:
-                cost = self.min_cost(cdag, b, table=table)
-            except InfeasibleBudgetError:
-                cost = float("inf")
-            if store is not None and self._durable_budget(b):
-                store.put_probe(skey, gkey, b, cost)
-            resolved[b] = cost
-        return [resolved[b] for b in budgets]
-
-    @staticmethod
-    def _durable_budget(b) -> bool:
-        """Budgets addressable in the durable store: true positive ints."""
-        return isinstance(b, int) and not isinstance(b, bool) and b > 0
-
-    def _memo_state(self, memo, cdag: CDAG) -> dict:
-        """The ``cost_many`` memo, reset when the graph or search mode
-        changed since its last use (the ``"result_store"`` key
-        survives the reset)."""
-        state = memo if memo is not None else {}
-        mode = (self.require_blue_sinks, self.final_red,
-                self.use_heuristic, self.use_dominance)
-        if state.get("graph") is not cdag or state.get("mode") != mode:
-            store_ref = state.get("result_store")
-            state.clear()
-            state["graph"] = cdag
-            state["mode"] = mode
-            if store_ref is not None:
-                state["result_store"] = store_ref
-        return state
-
-    def _cost_many_anytime(self, cdag: CDAG, budgets, memo) -> List[float]:
-        from ..core.exceptions import InfeasibleBudgetError
+        anytime = self._anytime_mode()
         state = self._memo_state(memo, cdag)
         table = None
         if self.core == "search" and len(cdag) <= self.max_nodes:
             table = state.get("table")
             if table is None:
                 table = state["table"] = self._make_table(cdag)
-        store, skey, gkey = self._store_keys(state, cdag)
-        # Same dedup + store pre-pass as the exact path: committed exact
-        # records seed the table before any fresh (governed) search runs.
-        unique = list(dict.fromkeys(budgets))
         resolved: Dict = {}
-        if store is not None:
-            for b in unique:
-                if not self._durable_budget(b):
-                    continue
-                stored = store.get_probe(skey, gkey, b)
-                if stored is not None and stored[2] == "exact":
-                    cost = stored[0]
-                    if table is not None and math.isfinite(cost):
-                        table.record(b, int(cost))
-                    state.setdefault("anytime_results", {}).pop(b, None)
-                    resolved[b] = cost
-        for b in unique:
-            if b in resolved:
-                continue
-            durable = store is not None and self._durable_budget(b)
+        for b in dict.fromkeys(budgets):
             try:
+                if not anytime:
+                    resolved[b] = self.min_cost(cdag, b, table=table)
+                    continue
                 res = self.solve(cdag, b, want_schedule=False, table=table)
             except InfeasibleBudgetError:
-                if durable:
-                    store.put_probe(skey, gkey, b, float("inf"))
                 resolved[b] = float("inf")
                 continue
             bag = state.setdefault("anytime_results", {})
             if res.exact:
                 bag.pop(b, None)
-                if durable:
-                    store.put_probe(skey, gkey, b, res.upper_bound)
             else:
                 bag[b] = res
-                if durable:
-                    # A certified bracket is worth persisting too: the
-                    # store's merge rule replaces it the moment anyone
-                    # computes the exact answer (or a tighter bracket).
-                    store.put_probe(skey, gkey, b, res.upper_bound,
-                                    degraded=True, provenance="anytime",
-                                    lb=res.lower_bound)
             resolved[b] = res.upper_bound
         return [resolved[b] for b in budgets]
 
-    def _store_keys(self, state, cdag: CDAG):
-        """Resolve the memo's durable result store (open handle or
-        directory path) plus this probe family's content addresses.
-        Best-effort: an unopenable path degrades to local-only, never
-        raises."""
-        ref = state.get("result_store")
-        if ref is None:
-            return None, None, None
-        store = state.get("_result_store")
-        if store is None:
-            if isinstance(ref, (str, bytes, os.PathLike)):
-                try:
-                    from ..core.store import open_cached
-                    store = open_cached(ref)
-                except Exception:
-                    store = False  # remembered failure: don't re-probe
-            else:
-                store = ref
-            state["_result_store"] = store
-        if store is False or getattr(store, "_closed", False):
-            return None, None, None
-        keys = state.get("_store_keys")
-        if keys is None:
-            from ..core.store import graph_fingerprint
-            keys = (self.cache_key(), graph_fingerprint(cdag))
-            state["_store_keys"] = keys
-        return store, keys[0], keys[1]
+    def _memo_state(self, memo, cdag: CDAG) -> dict:
+        """The ``cost_many`` memo, reset when the graph or search mode
+        changed since its last use."""
+        state = memo if memo is not None else {}
+        mode = (self.require_blue_sinks, self.final_red,
+                self.use_heuristic, self.use_dominance)
+        if state.get("graph") is not cdag or state.get("mode") != mode:
+            state.clear()
+            state["graph"] = cdag
+            state["mode"] = mode
+        return state
 
     # ------------------------------------------------------------------ #
 

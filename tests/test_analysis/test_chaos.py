@@ -10,7 +10,7 @@ path is still exercised.
 
 from __future__ import annotations
 
-from repro.analysis.chaos import (_reference, _soak_workload,
+from repro.analysis.chaos import (_reference, _soak_workload, main,
                                   run_crash_points, run_service_soak,
                                   run_sigkill_soak)
 from repro.core.store import CRASH_POINTS
@@ -26,11 +26,19 @@ def test_sigkill_soak_and_zero_eval_resume(tmp_path):
     # served; and at the end: a fresh engine resumes the finished sweep
     # byte-identically with zero scheduler evaluations.
     lines = []
-    landed = run_sigkill_soak(str(tmp_path), kills=3, seed=1, dawdle=0.02,
-                              log=lines.append)
+    landed, cut = run_sigkill_soak(str(tmp_path), kills=3, seed=1,
+                                   dawdle=0.02, log=lines.append)
     # Only the rounds whose victim outran its kill carry the label.
     missed = sum("(victim finished first)" in line for line in lines)
     assert missed == 3 - landed
+    # The kills attack the commit path: some leave records uncommitted.
+    assert 1 <= cut <= landed
+
+
+def test_summary_counts_only_the_sigkill_rounds_that_ran(tmp_path, capsys):
+    assert main(["--store", str(tmp_path), "--skip-points",
+                 "--skip-soak"]) == 0
+    assert "+ 0 SIGKILL rounds" in capsys.readouterr().out
 
 
 def test_soak_reference_is_deterministic():

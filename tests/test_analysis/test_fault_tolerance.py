@@ -557,69 +557,84 @@ def test_pooled_sweep_writes_through_one_store(tmp_path):
     assert eng2.stats.evals == 0
 
 
-def test_oracle_serves_and_persists_exact_records_via_memo(tmp_path):
-    from repro.core.store import ResultStore
+def test_exhaustive_sweep_commits_once_and_resumes_with_zero_evals(tmp_path):
+    store_dir = str(tmp_path / "store")
+    budgets = [4, 6, 8]
+    plain = ExhaustiveScheduler().cost_many(dwt_graph(4, 2), budgets)
+
+    with SweepEngine(store=store_dir) as eng1:
+        series = eng1.sweep(ExhaustiveScheduler(), dwt_graph(4, 2), budgets,
+                            "exh")
+        assert list(series.costs) == plain
+        assert eng1.store.appends == len(budgets)  # one per fresh budget
+
+    # A second engine is served from the store: nothing re-evaluated,
+    # nothing rewritten.
+    with SweepEngine(store=store_dir) as eng2:
+        series = eng2.sweep(ExhaustiveScheduler(), dwt_graph(4, 2), budgets,
+                            "exh")
+        assert list(series.costs) == plain
+        assert eng2.stats.evals == 0
+        assert eng2.store.appends == 0
+
+
+def test_anytime_engine_commits_exact_when_the_oracle_finishes(tmp_path):
+    from repro.core.store import graph_fingerprint
+    sched, g = ExhaustiveScheduler(), dwt_graph(4, 2)
+    with SweepEngine(anytime=True, store=str(tmp_path / "store")) as eng:
+        series = eng.sweep(sched, g, [6, 8], "exh")
+        assert series.degraded == ()
+        for b, cost in zip(series.budgets, series.costs):
+            assert eng.store.get_probe(sched.cache_key(),
+                                       graph_fingerprint(g), b) == \
+                (cost, False, "exact", None)
+
+
+class _OffByOneOracle(ExhaustiveScheduler):
+    """Reports one less than the optimum: below the Prop. 2.4 bound on
+    ``dwt_graph(4, 2)``, so the ``bounds`` audit quarantines it."""
+
+    def min_cost(self, cdag, budget=None, *, table=None):
+        return super().min_cost(cdag, budget, table=table) - 1
+
+
+def test_quarantined_oracle_answer_never_reaches_the_store(tmp_path):
+    from repro.core.store import ResultStore, graph_fingerprint
     store_dir = str(tmp_path / "store")
     g = dwt_graph(4, 2)
-    budgets = (4, 6, 8)
-    plain = ExhaustiveScheduler().cost_many(g, budgets, memo={})
+    with SweepEngine(audit="bounds", store=store_dir) as eng:
+        first = eng.probe(_OffByOneOracle(), g, 10)
+    assert (first.cost, first.provenance) == (18, "quarantined")
+    with ResultStore(store_dir) as st:
+        assert st.get_probe(_OffByOneOracle().cache_key(),
+                            graph_fingerprint(g), 10) == \
+            (18, True, "quarantined", None)
 
-    store = ResultStore(store_dir)
-    sched = ExhaustiveScheduler()
-    memo = {"result_store": store}
-    assert sched.cost_many(g, budgets, memo=memo) == plain
-    assert store.appends == len(budgets)  # write-through, one per budget
-    store.close()
-
-    # A fresh scheduler with a path reference is served from disk: the
-    # probes are store hits, and the values are byte-identical.
-    memo2: dict = {"result_store": store_dir}
-    assert ExhaustiveScheduler().cost_many(dwt_graph(4, 2), budgets,
-                                           memo=memo2) == plain
-    served = memo2["_result_store"]
-    assert served.hits >= len(budgets)
-    assert served.appends == 0  # nothing re-evaluated, nothing rewritten
+    # A resumed engine serves the audited answer, never the lie as exact.
+    with SweepEngine(audit="bounds", store=store_dir) as eng2:
+        resumed = eng2.probe(_OffByOneOracle(), dwt_graph(4, 2), 10)
+    assert (resumed.cost, resumed.degraded, resumed.provenance) == \
+        (18, True, "quarantined")
+    assert eng2.stats.evals == 0
 
 
-def test_oracle_memo_store_survives_graph_change(tmp_path):
-    from repro.core.store import ResultStore
-    from repro.graphs import mvm_graph
-    store = ResultStore(str(tmp_path / "store"))
-    sched = ExhaustiveScheduler()
-    memo = {"result_store": store}
-    sched.cost_many(dwt_graph(4, 2), (6,), memo=memo)
-    sched.cost_many(mvm_graph(2, 2), (6,), memo=memo)  # clears the memo
-    assert memo["result_store"] is store
-    assert store.appends == 2
+def test_fallback_provenance_is_stable_across_restart(tmp_path):
+    import dataclasses
+    from repro.core.store import ResultStore, graph_fingerprint
+    store_dir = str(tmp_path / "store")
+    sched, g = ExhaustiveScheduler(max_nodes=4), dwt_graph(8, 2)
+    with SweepEngine(anytime=True, store=store_dir) as eng:
+        first = eng.probe(sched, g, 16)
+    assert (first.cost, first.provenance, first.lb) == (36, "fallback", 16)
+    with ResultStore(store_dir) as st:
+        assert st.get_probe(sched.cache_key(), graph_fingerprint(g), 16) == \
+            (36, True, "fallback", 16)
 
-
-def test_anytime_oracle_records_exact_when_it_finishes(tmp_path):
-    from repro.core.store import ResultStore
-    store = ResultStore(str(tmp_path / "store"))
-    sched = ExhaustiveScheduler(anytime=True)
-    g = dwt_graph(4, 2)
-    costs = sched.cost_many(g, (6, 8), memo={"result_store": store})
-    from repro.core.store import graph_fingerprint
-    for b, cost in zip((6, 8), costs):
-        assert store.get_probe(sched.cache_key(), graph_fingerprint(g),
-                               b) == (cost, False, "exact", None)
-
-
-def test_min_memory_search_reuses_the_store(tmp_path):
-    from repro.analysis.min_memory import scheduler_min_memory
-    from repro.core.store import ResultStore
-    g = dwt_graph(4, 2)
-    fresh = scheduler_min_memory(ExhaustiveScheduler(), g)
-
-    store = ResultStore(str(tmp_path / "store"))
-    assert scheduler_min_memory(ExhaustiveScheduler(), g,
-                                store=store) == fresh
-    assert store.appends > 0
-    first_appends = store.appends
-    assert scheduler_min_memory(ExhaustiveScheduler(), dwt_graph(4, 2),
-                                store=store) == fresh
-    assert store.appends == first_appends  # second search: pure reads
-    assert store.hits > 0
+    with SweepEngine(anytime=True, store=store_dir) as eng2:
+        again = eng2.probe(ExhaustiveScheduler(max_nodes=4), dwt_graph(8, 2),
+                           16)
+    assert again == dataclasses.replace(first, cached=True)
+    assert eng2.stats.evals == 0
 
 
 def test_engine_close_is_idempotent_with_store(tmp_path):

@@ -22,7 +22,7 @@ import pytest
 
 from repro.core.store import (CRASH_POINTS, ResultStore, StoreRecord,
                               _decode_payload, _encode_record, _prefer,
-                              crash_at, graph_fingerprint, open_cached)
+                              crash_at, graph_fingerprint)
 from repro.graphs import dwt_graph, mvm_graph
 
 
@@ -302,14 +302,6 @@ def test_graph_fingerprint_matches_engine_graph_key():
     assert SweepEngine().graph_key(g) == graph_fingerprint(g)
 
 
-def test_open_cached_reuses_one_handle_per_path(tmp_path):
-    a = open_cached(tmp_path / "st")
-    b = open_cached(tmp_path / "st")
-    assert a is b
-    a.close()
-    assert open_cached(tmp_path / "st") is not a  # closed: reopen
-
-
 def test_import_journal_folds_old_journals_read_only(tmp_path):
     from repro.analysis import SweepEngine
     old = tmp_path / "old.json"  # two-field entries, infinity as "inf"
@@ -440,24 +432,6 @@ def test_lockfree_reader_sees_only_valid_monotone_state(tmp_path):
     finally:
         writer.join(120)
     assert writer.exitcode == 0
-
-
-def test_close_evicts_only_the_cached_handle(tmp_path):
-    """Satellite: ``close()`` drops the process-wide ``open_cached``
-    entry — but only when the closing handle *is* that entry.  A
-    private ``ResultStore`` on the same path closing must not evict the
-    cached one out from under other holders."""
-    cached = open_cached(tmp_path / "st")
-    private = ResultStore(tmp_path / "st")
-    private.close()
-    assert open_cached(tmp_path / "st") is cached  # untouched
-
-    cached.put_probe("S", "G", 8, 21)
-    cached.close()
-    reopened = open_cached(tmp_path / "st")
-    assert reopened is not cached  # fresh handle, fresh scan
-    assert reopened.get_probe("S", "G", 8) == (21, False, "exact", None)
-    reopened.close()
 
 
 def _compacting_writer(store_dir, rounds, stop):
