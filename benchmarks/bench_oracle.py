@@ -1,4 +1,4 @@
-"""Oracle-core benchmark: A* + dominance + transposition vs legacy Dijkstra.
+"""Oracle-core benchmark: A* + transposition table vs legacy Dijkstra.
 
 Runs both exhaustive-oracle cores over the deterministic fuzz corpus
 (:func:`repro.analysis.fuzz.corpus`) at the boundary-heavy budget set of
@@ -19,6 +19,7 @@ speedup over probes both cores completed falls below ``--min-speedup``
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -31,6 +32,7 @@ from repro.schedulers.exhaustive import ExhaustiveScheduler
 
 def _probe_legacy(scheduler, graph, budget):
     """One legacy-core probe: (wall seconds, cost | inf | None if capped)."""
+    gc.collect()
     t0 = time.perf_counter()
     try:
         cost = scheduler.cost(graph, budget)
@@ -63,6 +65,10 @@ def run(seeds, max_states, min_speedup, out_path, quick):
                 tbl = memo.get("table")
                 stats_before = tbl.stats.as_dict() if tbl is not None else {}
                 tt_before = tbl.probes if tbl is not None else 0
+                # Collect the previous probe's garbage outside the timed
+                # region, so a cycle collection it triggers is not
+                # charged to the next probe (of either core).
+                gc.collect()
                 t0 = time.perf_counter()
                 try:
                     a_cost = astar.cost_many(graph, (budget,), memo=memo)[0]
@@ -104,9 +110,8 @@ def run(seeds, max_states, min_speedup, out_path, quick):
                 probes.append(row)
 
     # Aggregate search statistics across the A* runs of the whole corpus.
-    agg = {"expanded": 0, "generated": 0, "dominated": 0, "bound_pruned": 0,
-           "heuristic_hits": 0, "heuristic_evals": 0, "result_hits": 0,
-           "stale_pops": 0}
+    agg = {"expanded": 0, "generated": 0, "bound_pruned": 0,
+           "heuristic_evals": 0, "result_hits": 0, "stale_pops": 0}
     tt_probes = 0
     for p in probes:
         for key, val in p.get("stats", {}).items():
@@ -129,9 +134,7 @@ def run(seeds, max_states, min_speedup, out_path, quick):
         "cost_mismatches": mismatches,
         "states_expanded": agg["expanded"],
         "states_generated": agg["generated"],
-        "states_pruned_dominance": agg["dominated"],
         "states_pruned_bound": agg["bound_pruned"],
-        "heuristic_cache_hits": agg["heuristic_hits"],
         "heuristic_evals": agg["heuristic_evals"],
         "transposition_result_hits": agg["result_hits"],
         "transposition_probes": tt_probes,
@@ -146,9 +149,8 @@ def run(seeds, max_states, min_speedup, out_path, quick):
           f"(speedup where legacy completed: "
           f"{'n/a' if speedup is None else f'{speedup:.1f}x'}, "
           f"legacy capped {legacy_capped}, A* capped {astar_capped})")
-    print(f"  expanded {agg['expanded']}, dominance-pruned "
-          f"{agg['dominated']}, bound-pruned {agg['bound_pruned']}, "
-          f"transposition hit rate {hit_rate:.1%}")
+    print(f"  expanded {agg['expanded']}, bound-pruned "
+          f"{agg['bound_pruned']}, transposition hit rate {hit_rate:.1%}")
 
     if mismatches:
         print(f"FAIL: {len(mismatches)} cost mismatches", file=sys.stderr)

@@ -79,7 +79,7 @@ class FailureRecord:
     #: materialized
 
     _CTX_KEYS = ("reason", "lb", "ub", "expanded", "generated",
-                 "bound_pruned", "dominated")
+                 "bound_pruned")
 
     def describe(self) -> str:
         msg = self.message if len(self.message) <= 120 else \

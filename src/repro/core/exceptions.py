@@ -34,8 +34,8 @@ class StateSpaceTooLargeError(GraphStructureError):
         The guard it exceeded.
     stats:
         Optional dict of search counters captured at the moment the guard
-        tripped (states expanded/generated, dominance- and bound-pruned
-        counts, heuristic memo hits — see
+        tripped (states expanded/generated, bound-pruned counts,
+        heuristic evaluations — see
         :class:`repro.schedulers.search.SearchStats`).
     """
 

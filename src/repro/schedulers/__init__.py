@@ -20,8 +20,7 @@ from .families import ANY_FAMILY, FAMILY_TAGS, graph_families
 from .registry import REGISTRY, SchedulerSpec, all_specs, schedulers_for, spec
 from .greedy import GreedyTopologicalScheduler
 from .exhaustive import ExhaustiveScheduler, optimal_cost
-from .search import (DominanceIndex, SearchProblem, SearchStats,
-                     TranspositionTable, astar)
+from .search import SearchProblem, SearchStats, TranspositionTable, astar
 from .dwt_optimal import OptimalDWTScheduler, pebble_dwt, dwt_minimum_cost
 from .kary import OptimalTreeScheduler, pebble_tree, tree_minimum_cost
 from .memory_states import MemoryStateScheduler
@@ -47,6 +46,5 @@ __all__ = [
     "EvictionScheduler", "POLICIES", "ORDERS", "SlidingWindowConvScheduler",
     "RecomputeScheduler", "ParallelComponentScheduler",
     "ParallelMVMScheduler", "auto_schedule",
-    "SearchProblem", "SearchStats", "TranspositionTable", "DominanceIndex",
-    "astar",
+    "SearchProblem", "SearchStats", "TranspositionTable", "astar",
 ]

@@ -12,10 +12,11 @@ This module is the *oracle* the test suite uses to certify that the
 dataflow-specific DP schedulers (Alg. 1, Eq. 6, Eq. 8) are truly optimal on
 their graph families — the central claim of the paper.
 
-Since PR 4 the default solver is the informed-search core in
+The default solver is the informed-search core in
 :mod:`repro.schedulers.search`: A* under the admissible residual-I/O
-heuristic of Prop. 2.4, with superset-dominance pruning and a transposition
-table shared across budget probes (``cost_many`` / ``minimum_fast_memory``).
+heuristic of Prop. 2.4, breaking ``f``-ties toward deeper states, with a
+transposition table shared across budget probes (``cost_many`` /
+``minimum_fast_memory``).
 The original uninformed Dijkstra survives as ``core="legacy"`` and is the
 comparison baseline for the equivalence suite and ``bench_oracle.py`` —
 both paths return byte-identical optimal costs wherever both complete.
@@ -51,6 +52,11 @@ DEFAULT_MAX_STATES = 5_000_000
 class ExhaustiveScheduler(Scheduler):
     """Provably optimal schedules via informed search over configurations.
 
+    Costs are exact optima.  Where several schedules reach the optimum,
+    the one returned is the first the search's deepest-first tie order
+    completes (see :mod:`repro.schedulers.search`); it is deterministic,
+    but no particular optimum is promised.
+
     Parameters
     ----------
     max_nodes:
@@ -66,11 +72,10 @@ class ExhaustiveScheduler(Scheduler):
         Optional stopping-condition override: instead of blue pebbles on the
         sinks, require red pebbles on these nodes (used to certify subtree
         schedules whose stopping condition is "red on root", Lemma 3.3).
-    use_heuristic / use_dominance:
-        Escape hatches for the informed core: ``use_heuristic=False``
-        degrades A* to Dijkstra and ``use_dominance=False`` disables
-        settled-state pruning.  Both preserve exact optimality; the
-        equivalence suite runs every combination.
+    use_heuristic:
+        Escape hatch for the informed core: ``use_heuristic=False``
+        degrades A* to Dijkstra.  Exact optimality is preserved; the
+        equivalence suite runs both settings.
     core:
         ``"search"`` (default) for the informed core, ``"legacy"`` for the
         original uninformed Dijkstra with explicit M4 moves.
@@ -131,7 +136,6 @@ class ExhaustiveScheduler(Scheduler):
                  require_blue_sinks: bool = True,
                  max_states: Optional[int] = DEFAULT_MAX_STATES,
                  use_heuristic: bool = True,
-                 use_dominance: bool = True,
                  core: str = "search",
                  anytime: bool = False,
                  vectorized: bool = True):
@@ -146,7 +150,6 @@ class ExhaustiveScheduler(Scheduler):
         self.require_blue_sinks = require_blue_sinks
         self.max_states = max_states
         self.use_heuristic = use_heuristic
-        self.use_dominance = use_dominance
         self.core = core
         #: Statistics of the most recent search (all-zero before the
         #: first).  Deliberately a SearchStats object, never a plain
@@ -177,8 +180,8 @@ class ExhaustiveScheduler(Scheduler):
 
         ``table`` threads a :class:`TranspositionTable` through repeated
         probes of the same graph: exact hits and closed monotonicity
-        brackets answer without searching, and the heuristic memo carries
-        over between adjacent budgets.
+        brackets answer without searching, and solved budgets bound the
+        search of the others.
 
         In anytime mode a degraded probe returns the bracket's *upper*
         bound (achievable, hence sound for feasibility decisions); the
@@ -241,9 +244,9 @@ class ExhaustiveScheduler(Scheduler):
 
         The sweep engine passes a persistent per-(scheduler, graph) memo
         dict here, so ``minimum_fast_memory``'s binary search and repeated
-        sweep probes reuse settled-search by-products (heuristic values,
-        solved-budget brackets) instead of restarting from scratch.  Each
-        distinct budget is solved once, even if the caller repeats it.
+        sweep probes reuse solved-budget brackets instead of restarting
+        from scratch.  Each distinct budget is solved once, even if the
+        caller repeats it.
 
         In anytime mode, degraded probes report their upper bound in the
         returned list and park the full bracket in the memo under
@@ -283,8 +286,7 @@ class ExhaustiveScheduler(Scheduler):
         """The ``cost_many`` memo, reset when the graph or search mode
         changed since its last use."""
         state = memo if memo is not None else {}
-        mode = (self.require_blue_sinks, self.final_red,
-                self.use_heuristic, self.use_dominance)
+        mode = (self.require_blue_sinks, self.final_red, self.use_heuristic)
         if state.get("graph") is not cdag or state.get("mode") != mode:
             state.clear()
             state["graph"] = cdag
@@ -372,10 +374,8 @@ class ExhaustiveScheduler(Scheduler):
             problem, b,
             want_schedule=want_schedule,
             use_heuristic=self.use_heuristic,
-            use_dominance=self.use_dominance,
             max_states=self.max_states,
             upper_bound=None if ubT == float("inf") else int(ubT),
-            h_cache=table.h_cache if self.use_heuristic else None,
             stats=stats, anytime=True, vectorized=self.vectorized)
         if res.exact:
             table.record(b, int(res.upper_bound))
@@ -425,10 +425,8 @@ class ExhaustiveScheduler(Scheduler):
             problem, b,
             want_schedule=want_schedule,
             use_heuristic=self.use_heuristic,
-            use_dominance=self.use_dominance,
             max_states=self.max_states,
             upper_bound=None if ub == float("inf") else int(ub),
-            h_cache=table.h_cache if self.use_heuristic else None,
             stats=stats, vectorized=self.vectorized)
         table.record(b, cost)
         return cost, schedule

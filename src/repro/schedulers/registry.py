@@ -61,8 +61,8 @@ def _exhaustive(cdag: CDAG) -> Scheduler:
     # worst case, and a fuzz corpus must stay minutes, not hours.  The
     # settled-state cap, not the node count, is the real budget: 25k
     # settled states keeps the slowest corpus probe under ~3 s while the
-    # A* heuristic + dominance pruning let most 20+-node graphs finish
-    # well inside it.
+    # A* heuristic and its deepest-first tie order let most 20+-node
+    # graphs finish well inside it.
     return ExhaustiveScheduler(max_nodes=32, max_states=25_000)
 
 

@@ -6,18 +6,17 @@ makes that search *informed* instead of blind Dijkstra:
 
 Normalized move space
     Standalone ``M4`` deletes generate the full subset lattice below every
-    red set — for free — which both explodes the state count and makes
-    superset-dominance pruning unsound (a dominator would have to travel
-    *through* the states it prunes).  The core therefore folds deletes into
-    the loads/computes that need the room: a successor of ``(red, blue)`` is
-    either a store ``M2(v)``, or an *acquire* of a node ``y`` (``M1`` if
-    ``y`` is blue, ``M3`` if its parents are red) preceded by a **minimal
-    eviction set** — an inclusion-minimal ``D ⊆ red`` whose removal brings
-    the post-move red weight back under the budget.  Every valid schedule
-    can be rewritten into this form at equal or lower cost (deletes commute
-    forward past stores and past acquires that fit, merge into the eviction
-    set of the first acquire that does not, and vanish at the end of the
-    schedule), so the optimum over normalized paths equals the game optimum.
+    red set — for free — which explodes the state count.  The core
+    therefore folds deletes into the loads/computes that need the room: a
+    successor of ``(red, blue)`` is either a store ``M2(v)``, or an
+    *acquire* of a node ``y`` (``M1`` if ``y`` is blue, ``M3`` if its
+    parents are red) preceded by a **minimal eviction set** — an
+    inclusion-minimal ``D ⊆ red`` whose removal brings the post-move red
+    weight back under the budget.  Every valid schedule can be rewritten
+    into this form at equal or lower cost (deletes commute forward past
+    stores and past acquires that fit, merge into the eviction set of the
+    first acquire that does not, and vanish at the end of the schedule),
+    so the optimum over normalized paths equals the game optimum.
 
 Admissible heuristic (residual Prop. 2.4 bound)
     From a configuration ``(red, blue)`` every goal sink not yet blue still
@@ -29,25 +28,27 @@ Admissible heuristic (residual Prop. 2.4 bound)
     bound is consistent (see DESIGN.md), so A* settles each state at most
     once and the first goal pop is optimal.
 
-Dominance pruning
-    A popped configuration is discarded when an already-settled
-    configuration with superset red and blue sets reached it at ≤ cost.  In
-    the normalized space the dominator can replay the pruned state's suffix
-    move-for-move while keeping componentwise-superset pebble sets at no
-    extra cost, so at least one optimal path always survives.  Settled
-    states are indexed in per-blue-mask buckets layered by red popcount — a
-    bucketed bitmask trie that keeps the superset scan short.
+Deepest-first tie order
+    Among open configurations of equal ``f = g + h`` the search pops the
+    one with the largest ``g`` first.  When the optimum equals the
+    Prop. 2.4 bound, every state on an optimal path shares one ``f``; a
+    first-in, first-out tie order sweeps that plateau breadth-first, while
+    preferring larger ``g`` (less residual I/O to prove) walks it depth
+    first toward a goal.  Under a consistent heuristic any tie order
+    returns the same optimal cost; only the schedule chosen among
+    equal-cost optima depends on it.
 
 Transposition across budgets
-    The compiled :class:`SearchProblem` (bitmask/weight/move tables), the
-    heuristic memo (budget-independent), and finished budget→cost results
-    all live in a :class:`TranspositionTable`.  Because the optimal cost is
-    non-increasing in the budget, previous results bracket new probes:
-    exact hits and closed lower/upper brackets answer without searching,
-    and otherwise the best known upper bound prunes every node whose
-    ``f = g + h`` exceeds it.  ``ExhaustiveScheduler.cost_many`` threads
-    the table through the sweep engine's per-(scheduler, graph) memo, so
-    ``minimum_fast_memory``'s binary search reuses work between probes.
+    The compiled :class:`SearchProblem` (bitmask/weight/move tables) and
+    finished budget→cost results live in a :class:`TranspositionTable`.
+    Because the optimal cost is non-increasing in the budget, previous
+    results bracket new probes: exact hits and closed lower/upper brackets
+    answer without searching, and otherwise the best known upper bound
+    prunes every node whose ``f = g + h`` exceeds it.
+    ``ExhaustiveScheduler.cost_many`` threads the table through the sweep
+    engine's per-(scheduler, graph) memo, so ``minimum_fast_memory``'s
+    binary search reuses work between probes.  Heuristic values are
+    memoized per probe only.
 """
 
 from __future__ import annotations
@@ -69,8 +70,7 @@ try:                              # numpy is optional: the scalar core is
 except ImportError:               # pragma: no cover - numpy is baked in
     _np = None
 
-__all__ = ["SearchProblem", "SearchStats", "DominanceIndex",
-           "TranspositionTable", "astar"]
+__all__ = ["SearchProblem", "SearchStats", "TranspositionTable", "astar"]
 
 _INF = float("inf")
 
@@ -78,10 +78,6 @@ _INF = float("inf")
 #: dtype churn) exceed the scalar loop they replace; the vector core then
 #: degrades to the scalar kernels, which compute the same values.
 _VEC_MIN_BATCH = 16
-
-#: The dominance index's packed header pass needs this many buckets
-#: before one vectorized superset test beats the plain dict walk.
-_DOM_VEC_MIN_KEYS = 256
 
 _U64 = (1 << 64) - 1
 
@@ -106,13 +102,8 @@ class SearchStats:
     expanded: int = 0          # settled (expanded) configurations
     generated: int = 0         # successor pushes that improved a label
     stale_pops: int = 0        # pops superseded by a better label
-    dominated: int = 0         # pops discarded by dominance pruning
     bound_pruned: int = 0      # successors discarded by the upper bound
     heuristic_evals: int = 0   # heuristic closures actually computed
-    heuristic_hits: int = 0    # states whose heuristic the memo answered
-                               # (counted once, at first discovery, so a
-                               # probe's hits never exceed the entries
-                               # that existed before it ran)
     result_hits: int = 0       # whole probes answered by the transposition
 
     def as_dict(self) -> Dict[str, int]:
@@ -120,10 +111,8 @@ class SearchStats:
             "expanded": self.expanded,
             "generated": self.generated,
             "stale_pops": self.stale_pops,
-            "dominated": self.dominated,
             "bound_pruned": self.bound_pruned,
             "heuristic_evals": self.heuristic_evals,
-            "heuristic_hits": self.heuristic_hits,
             "result_hits": self.result_hits,
         }
 
@@ -408,16 +397,13 @@ class _VectorCore:
 
     def acquire_heuristics(self, reds: List[int], blue: int, hc: Dict,
                            st: SearchStats,
-                           tok: Optional[CancellationToken],
-                           fresh: Optional[List[bool]] = None) -> List[int]:
+                           tok: Optional[CancellationToken]) -> List[int]:
         """Heuristic values for acquire successors (new reds, same blue).
 
         Serves memo hits scalar, then evaluates the misses through the
         batched closure (or the scalar walk below the batch threshold),
         memoizing every result.  Values are identical to
-        :meth:`SearchProblem.heuristic` on each state.  ``fresh[j]``
-        marks states not yet discovered this probe; only those count as
-        memo hits, matching the scalar core's first-discovery rule.
+        :meth:`SearchProblem.heuristic` on each state.
         """
         p = self.p
         out = [0] * len(reds)
@@ -429,8 +415,6 @@ class _VectorCore:
                 miss_idx.append(j)
                 miss_reds.append(r)
             else:
-                if fresh is None or fresh[j]:
-                    st.heuristic_hits += 1
                 out[j] = v
         if not miss_reds:
             return out
@@ -489,150 +473,12 @@ class _VectorCore:
         return [store + int(v) for v in weights]
 
 
-class DominanceIndex:
-    """Settled configurations indexed for superset-dominance queries.
-
-    A bucketed bitmask trie: buckets are keyed by the blue mask, and each
-    bucket layers its ``(red, cost)`` entries by red popcount so a query
-    for dominators of ``red`` only scans layers with strictly more pebbles
-    (an equal-popcount superset would be the state itself, which cannot be
-    settled twice) — except across buckets with strictly-superset blue,
-    where equal popcount is admissible.  Inserts prune same-bucket entries
-    the newcomer dominates, keeping each bucket close to an antichain.
-
-    Work per query and per insert is bounded by ``scan_limit`` entry
-    inspections: dominance is a pure optimization, so when the index grows
-    past what a bounded scan can cover, the check degrades to a partial
-    scan instead of letting pruning overhead dominate the search (measured
-    on tight-budget banded instances, an unbounded scan costs 4× more than
-    it saves).  Only ``(red, cost)`` entries actually compared against the
-    query are charged — bucket headers, skipped popcount layers, and
-    non-superset blue buckets are free — and the budget is checked
-    *before* each inspection, so a query inspects exactly
-    ``min(scan_limit, candidate entries)`` entries regardless of bucket
-    layout.  :attr:`inspected` counts charged inspections cumulatively.
-
-    With ``vectorized=True`` (and numpy available) the cross-blue header
-    pass — the profiled hot spot: every settled blue mask is a bucket,
-    and each pop scans all the headers — becomes one packed-uint64
-    superset test over the bucket-key array.  Candidate buckets come out
-    in insertion order, exactly like dict iteration, and the per-entry
-    scans are unchanged, so queries return the same answers and charge
-    the same inspections as the scalar pass.  Bucket keys above 64 bits
-    flip the index back to the scalar pass permanently.
-    """
-
-    __slots__ = ("_buckets", "scan_limit", "inspected", "_keys", "_nkeys")
-
-    def __init__(self, scan_limit: int = 64, vectorized: bool = False) -> None:
-        self._buckets: Dict[int, Dict[int, List[Tuple[int, int]]]] = {}
-        self.scan_limit = scan_limit
-        self.inspected = 0  # cumulative charged entry inspections
-        # Packed bucket keys, insertion-ordered (numpy growth buffer).
-        self._keys = (_np.zeros(256, dtype=_np.uint64)
-                      if vectorized and _np is not None else None)
-        self._nkeys = 0
-
-    def _scan(self, layers: Dict[int, List[Tuple[int, int]]], min_pc: int,
-              red: int, cost: int, budget: int) -> Tuple[bool, int]:
-        """Scan one bucket's layers of red popcount ≥ ``min_pc`` for a
-        dominator, charging ``budget`` per inspected entry."""
-        for pc, entries in layers.items():
-            if pc < min_pc:
-                continue
-            for r, c in entries:
-                if budget <= 0:
-                    return False, 0
-                budget -= 1
-                self.inspected += 1
-                if c <= cost and (r & red) == red:
-                    return True, budget
-        return False, budget
-
-    def dominated(self, red: int, blue: int, cost: int) -> bool:
-        """True iff a settled state with superset red *and* blue reached
-        it at ≤ ``cost`` (within the bounded scan)."""
-        rc = red.bit_count()
-        budget = self.scan_limit
-        # Same-blue bucket first: direct lookup, and in practice where
-        # nearly all dominators live (extra blue costs extra stores).
-        # Equal red popcount would be the query itself: skipped.
-        layers = self._buckets.get(blue)
-        if layers is not None:
-            hit, budget = self._scan(layers, rc + 1, red, cost, budget)
-            if hit:
-                return True
-        if budget <= 0:
-            return False
-        # Cross-blue buckets with strictly-superset blue, where equal red
-        # popcount is admissible.  Header tests are cheap mask compares —
-        # they stay outside the budget — and vectorize over the packed
-        # key array when it is available.
-        keys = self._keys
-        if keys is not None and self._nkeys >= _DOM_VEC_MIN_KEYS:
-            if blue > _U64:
-                return False    # every bucket key fits 64 bits: no superset
-            b64 = _np.uint64(blue)
-            k = keys[:self._nkeys]
-            for bl in k[(k & b64) == b64].tolist():
-                if bl == blue:
-                    continue
-                hit, budget = self._scan(self._buckets[bl], rc, red, cost,
-                                         budget)
-                if hit:
-                    return True
-                if budget <= 0:
-                    return False
-            return False
-        for bl, lay in self._buckets.items():
-            if bl == blue or (bl & blue) != blue:
-                continue
-            hit, budget = self._scan(lay, rc, red, cost, budget)
-            if hit:
-                return True
-            if budget <= 0:
-                return False
-        return False
-
-    def insert(self, red: int, blue: int, cost: int) -> None:
-        layers = self._buckets.get(blue)
-        if layers is None:
-            layers = self._buckets[blue] = {}
-            if self._keys is not None:
-                if blue > _U64:
-                    self._keys = None   # big-int keys: scalar pass only
-                else:
-                    if self._nkeys == len(self._keys):
-                        grown = _np.zeros(2 * self._nkeys, dtype=_np.uint64)
-                        grown[:self._nkeys] = self._keys
-                        self._keys = grown
-                    self._keys[self._nkeys] = blue
-                    self._nkeys += 1
-        rc = red.bit_count()
-        budget = self.scan_limit
-        for pc in list(layers):
-            if pc >= rc:
-                continue
-            entries = layers[pc]
-            if len(entries) > budget:
-                continue    # too big to prune cheaply; leave it be
-            budget -= len(entries)
-            kept = [(r, c) for r, c in entries
-                    if not (cost <= c and (red & r) == r)]
-            if len(kept) != len(entries):
-                if kept:
-                    layers[pc] = kept
-                else:
-                    del layers[pc]
-        layers.setdefault(rc, []).append((red, cost))
-
-
 class TranspositionTable:
     """Search state shared across budget probes of one (graph, goal) pair.
 
-    Holds the compiled :class:`SearchProblem`, the budget-independent
-    heuristic memo, cumulative :class:`SearchStats`, and the finished
-    budget → optimal-cost results that bracket future probes.
+    Holds the compiled :class:`SearchProblem`, cumulative
+    :class:`SearchStats`, and the finished budget → optimal-cost results
+    that bracket future probes.
 
     :meth:`lower_bound` / :meth:`upper_bound` are called inside the
     ``minimum_fast_memory`` binary search and every sweep probe, so the
@@ -645,12 +491,11 @@ class TranspositionTable:
     non-monotone result sets.
     """
 
-    __slots__ = ("problem", "h_cache", "results", "stats", "probes",
+    __slots__ = ("problem", "results", "stats", "probes",
                  "_budgets", "_costs", "_prefix_min", "_suffix_max")
 
     def __init__(self, problem: SearchProblem):
         self.problem = problem
-        self.h_cache: Dict[Tuple[int, int], int] = {}
         self.results: Dict[int, int] = {}
         self.stats = SearchStats()
         self.probes = 0
@@ -661,7 +506,7 @@ class TranspositionTable:
 
     def __len__(self) -> int:
         """Sized for memo instrumentation (engine peak_memo_entries)."""
-        return len(self.h_cache) + len(self.results)
+        return len(self.results)
 
     def lookup(self, budget: int) -> Optional[int]:
         """Exact transposition hit, if this budget was already solved."""
@@ -716,10 +561,8 @@ def _expand_moves(problem: SearchProblem, evict_mask: int,
 def astar(problem: SearchProblem, budget: int, *,
           want_schedule: bool = False,
           use_heuristic: bool = True,
-          use_dominance: bool = True,
           max_states: Optional[int] = None,
           upper_bound: Optional[int] = None,
-          h_cache: Optional[Dict[Tuple[int, int], int]] = None,
           stats: Optional[SearchStats] = None,
           token: Optional[CancellationToken] = None,
           anytime: bool = False,
@@ -730,10 +573,12 @@ def astar(problem: SearchProblem, budget: int, *,
     Returns ``(cost, schedule)`` by default, or an
     :class:`~repro.core.governor.AnytimeResult` when ``anytime=True``.
 
-    With ``use_heuristic=False`` the search degenerates to Dijkstra and
-    with ``use_dominance=False`` no settled-state pruning is applied —
-    both escape hatches preserve exact optimality and exist so the
-    equivalence suite can compare every combination.
+    Open configurations pop by ``f`` and, among equal ``f``, deepest
+    (largest ``g``) first; every tie order returns the same optimal cost
+    under the consistent heuristic (see the module docstring).  With
+    ``use_heuristic=False`` the search degenerates to Dijkstra, an escape
+    hatch that preserves exact optimality so the equivalence suite can
+    compare both.  Heuristic values are memoized for this probe only.
 
     ``budget`` must already be feasible (callers run
     :func:`repro.core.bounds.require_feasible` first).  ``max_states``
@@ -747,13 +592,11 @@ def astar(problem: SearchProblem, budget: int, *,
     raises :class:`ProbeCancelledError`; in anytime mode the search
     returns a bracket instead: ``lower_bound = min f`` over the intact
     open frontier (every goal path must cross an open configuration
-    ``s`` and costs at least ``f(s)`` by consistency — dominance pruning
-    preserves this because a dominator replays the pruned suffix at no
-    extra cost, so a surviving optimal-cost path always crosses the
-    frontier), and ``upper_bound``/``schedule`` come from the best
-    incumbent goal *generated* so far (goal tests run at push time under
-    ``anytime`` — an admissible extra that also tightens pruning but
-    never changes the returned optimum).  In anytime mode a tripped
+    ``s`` and costs at least ``f(s)`` by consistency), and
+    ``upper_bound``/``schedule`` come from the best incumbent goal
+    *generated* so far (goal tests run at push time under ``anytime`` —
+    an admissible extra that also tightens pruning but never changes the
+    returned optimum).  In anytime mode a tripped
     ``max_states`` cap likewise returns a bracket (reason ``"states"``)
     instead of raising.
 
@@ -767,7 +610,7 @@ def astar(problem: SearchProblem, budget: int, *,
     p = problem
     b = budget
     st = stats if stats is not None else SearchStats()
-    hc = h_cache if h_cache is not None else {}
+    hc: Dict[Tuple[int, int], int] = {}
     ub = upper_bound if upper_bound is not None else _INF
     tok = token if token is not None else current_token()
     vec = p.vector() if vectorized else None
@@ -777,12 +620,7 @@ def astar(problem: SearchProblem, budget: int, *,
     mask_weight = p.mask_weight
     n = p.n
 
-    def hval(red: int, blue: int, count_hit: bool = True) -> int:
-        # ``count_hit=False`` marks re-services of a state discovered
-        # earlier in this probe (dist re-improvements, frontier
-        # re-pushes): the memo answer was already accounted at first
-        # discovery, and counting repeats would let a probe's hits
-        # exceed the memo entries that existed when it started.
+    def hval(red: int, blue: int) -> int:
         if not use_heuristic:
             return 0
         key = (red, blue)
@@ -791,18 +629,16 @@ def astar(problem: SearchProblem, budget: int, *,
             v = p.heuristic(red, blue)
             hc[key] = v
             st.heuristic_evals += 1
-        elif count_hit:
-            st.heuristic_hits += 1
         return v
 
     start = (0, p.source_mask)
     dist: Dict[Tuple[int, int], int] = {start: 0}
     prev: Dict[Tuple[int, int], Tuple[Tuple[int, int], Tuple[Move, ...]]] = {}
     seq = 0
-    heap: List[Tuple[int, int, int, int, int]] = [
-        (hval(*start), 0, 0, start[0], start[1])]
-    dom = (DominanceIndex(vectorized=vec is not None)
-           if use_dominance else None)
+    # Key (f, -g, seq, ...): lowest f first, deepest first among equal f,
+    # then first in, first out.
+    heap: List[Tuple[int, int, int, int, int, int]] = [
+        (hval(*start), 0, 0, 0, start[0], start[1])]
     settled = 0
     inf = _INF
     keep_prev = want_schedule or anytime
@@ -836,16 +672,13 @@ def astar(problem: SearchProblem, budget: int, *,
         if ng >= old:
             return
         if nf is None:
-            nf = ng + hval(nred, nblue, old == inf)
+            nf = ng + hval(nred, nblue)
         if nf > ub:
             st.bound_pruned += 1
             # Remember the pruned label: f depends only on (g, state), so
             # a re-push at the same or worse g would re-derive the same
             # doomed f.  Recording g suppresses those repeats (the heap
-            # never sees pruned labels either way) and keeps "first
-            # discovery" well-defined: a state serves at most one memo
-            # hit per probe, so a probe's hits are bounded by the memo
-            # entries that existed when it started.
+            # never sees pruned labels either way).
             dist[nxt] = ng
             return
         dist[nxt] = ng
@@ -858,7 +691,7 @@ def astar(problem: SearchProblem, budget: int, *,
                 ub = ng     # incumbent tightens pruning (strict >, so the
                             # incumbent's own f = g entry still pops)
         seq += 1
-        heapq.heappush(heap, (nf, seq, ng, nred, nblue))
+        heapq.heappush(heap, (nf, -ng, seq, ng, nred, nblue))
         st.generated += 1
 
     while heap:
@@ -870,7 +703,7 @@ def astar(problem: SearchProblem, budget: int, *,
                 raise ProbeCancelledError(
                     f"informed search on {p.cdag.name!r} cancelled ({r})",
                     reason=r, stats=st.as_dict())
-        f, _, g, red, blue = heapq.heappop(heap)
+        f, _, _, g, red, blue = heapq.heappop(heap)
         state = (red, blue)
         if g > dist.get(state, inf):
             st.stale_pops += 1
@@ -884,9 +717,6 @@ def astar(problem: SearchProblem, budget: int, *,
             if not want_schedule:
                 return g, None
             return g, _reconstruct(state, prev)
-        if dom is not None and dom.dominated(red, blue, g):
-            st.dominated += 1
-            continue
         settled += 1
         st.expanded += 1
         if max_states is not None and settled > max_states:
@@ -895,15 +725,13 @@ def astar(problem: SearchProblem, budget: int, *,
                 # admissible (it was already removed from the heap).
                 seq += 1
                 heapq.heappush(heap,
-                               (g + hval(red, blue, False), seq, g, red, blue))
+                               (g + hval(red, blue), -g, seq, g, red, blue))
                 return _finish("states")
             raise StateSpaceTooLargeError(
                 f"informed search on {p.cdag.name!r} settled {settled} "
                 f"configurations > state cap {max_states}; tighten the "
                 f"budget or use a dataflow-specific scheduler",
                 size=settled, limit=max_states, stats=st.as_dict())
-        if dom is not None:
-            dom.insert(red, blue, g)
         try:
             rw = mask_weight(red)
             if vec is not None:
@@ -971,9 +799,7 @@ def astar(problem: SearchProblem, budget: int, *,
                                  if ng < dist.get((t[0], blue), inf)]
                         if len(items) >= _VEC_MIN_BATCH:
                             hv = vec.acquire_heuristics(
-                                [t[0] for t in items], blue, hc, st, tok,
-                                fresh=[(t[0], blue) not in dist
-                                       for t in items])
+                                [t[0] for t in items], blue, hc, st, tok)
                             for (nred, d_mask), h_new in zip(items, hv):
                                 push(nred, blue, ng, state, d_mask, move,
                                      nf=ng + h_new)
@@ -1026,11 +852,11 @@ def astar(problem: SearchProblem, budget: int, *,
             # the lower bound to stay admissible.
             seq += 1
             heapq.heappush(heap,
-                           (g + hval(red, blue, False), seq, g, red, blue))
+                           (g + hval(red, blue), -g, seq, g, red, blue))
             return _finish(exc.reason or "cancelled")
     if anytime and best_state is not None:
-        # Frontier exhausted: every open label was dominated or pruned by
-        # the incumbent bound, so the incumbent is optimal.
+        # Frontier exhausted: every open label was pruned by the
+        # incumbent bound, so the incumbent is optimal.
         sched = _reconstruct(best_state, prev)
         cost = sched.cost(p.cdag)
         return AnytimeResult(lower_bound=cost, upper_bound=cost,

@@ -128,11 +128,13 @@ def test_anytime_result_decides_soundly():
 
 
 def _governed_solve(budget_s: float):
-    cdag = dwt_graph(16, 2)  # 40 nodes: minutes of ungoverned search
+    # 40 nodes; at budget 16 an ungoverned search runs far past the
+    # deadline (budget 8 solves exactly in about the deadline itself).
+    cdag = dwt_graph(16, 2)
     sched = ExhaustiveScheduler(max_nodes=64, anytime=True)
     tok = CancellationToken(budget=budget_s, anytime=True)
     t0 = time.perf_counter()
-    res = sched.solve(cdag, 8, token=tok)
+    res = sched.solve(cdag, 16, token=tok)
     return cdag, res, time.perf_counter() - t0
 
 
@@ -150,7 +152,7 @@ def test_deadline_mid_search_yields_replayable_bracket():
     # The upper bound is achievable: its schedule replays on the game
     # simulator at exactly the claimed cost.
     assert res.schedule is not None
-    replay = simulate(cdag, res.schedule, budget=8)
+    replay = simulate(cdag, res.schedule, budget=16)
     assert replay.cost == res.upper_bound
     # SearchStats propagated into the result (satellite 3).
     if res.source == "search":
@@ -161,7 +163,7 @@ def test_states_cap_bracket_is_deterministic():
     cdag = dwt_graph(8, 2)
     results = []
     for _ in range(2):
-        sched = ExhaustiveScheduler(max_nodes=64, max_states=200,
+        sched = ExhaustiveScheduler(max_nodes=64, max_states=50,
                                     anytime=True)
         res = sched.solve(cdag, 6)
         results.append((res.lower_bound, res.upper_bound, res.reason,
