@@ -1,19 +1,20 @@
 """Oracle perf-regression gate: fresh quick-bench vs committed baseline.
 
 Compares a freshly generated ``BENCH_oracle.json`` against the committed
-``benchmarks/results/BENCH_oracle.json`` on the (graph, budget) probes
-both reports completed, and fails when
+``benchmarks/results/BENCH_oracle.json`` and fails when
 
-* any probe's optimal *cost* differs between the two reports (a
-  correctness regression dressed up as a perf report), or
+* the A* core's optimal *cost* differs between the two reports on any
+  (graph, budget) probe that A* completed in both (a correctness
+  regression dressed up as a perf report), or
 * the legacy-normalized wall-time ratio regresses by more than the
   tolerance (default 20%).
 
 Raw wall seconds are not comparable across machines (a CI runner is not
 the workstation the baseline was recorded on), so the gate compares
-``sum(astar_wall) / sum(legacy_wall)`` over the common probes — the
-legacy core runs in both reports on the same machine as its paired A*
-probe, making the ratio a machine-independent figure of merit.
+``sum(astar_wall) / sum(legacy_wall)``: the A* sum runs over the probes
+A* completed in both reports, the legacy sum over the probes the legacy
+core completed in both.  The legacy core runs in both reports on the
+same machine as the A* probes, so its time normalizes away the machine.
 
 Usage::
 
@@ -28,48 +29,41 @@ import json
 import sys
 
 
-def _completed_rows(report):
-    """(graph, budget) -> row for probes where both cores completed."""
-    out = {}
-    for row in report.get("probe_details", []):
-        if row.get("astar_cost") is None or row.get("legacy_cost") is None:
-            continue
-        out[(row["graph"], row["budget"])] = row
-    return out
+def _completed_rows(report, core):
+    """(graph, budget) -> row for probes where ``core`` completed."""
+    return {(row["graph"], row["budget"]): row
+            for row in report.get("probe_details", [])
+            if row.get(f"{core}_cost") is not None}
 
 
 def compare(fresh: dict, baseline: dict, tolerance: float,
-            min_legacy_wall: float, min_row_wall: float = 0.05):
+            min_legacy_wall: float):
     """Returns (failures, summary lines)."""
-    fresh_rows = _completed_rows(fresh)
-    base_rows = _completed_rows(baseline)
-    common = sorted(set(fresh_rows) & set(base_rows))
+    f_rows = _completed_rows(fresh, "astar")
+    b_rows = _completed_rows(baseline, "astar")
+    common = sorted(set(f_rows) & set(b_rows))
+    f_legacy_rows = _completed_rows(fresh, "legacy")
+    b_legacy_rows = _completed_rows(baseline, "legacy")
+    paired = sorted(set(f_legacy_rows) & set(b_legacy_rows))
     failures = []
-    lines = [f"common completed probes: {len(common)} "
-             f"(fresh {len(fresh_rows)}, baseline {len(base_rows)})"]
+    lines = [f"probes A* completed in both: {len(common)} "
+             f"(fresh {len(f_rows)}, baseline {len(b_rows)}); "
+             f"legacy completed in both: {len(paired)}"]
     if not common:
         failures.append("no common completed probes — reports do not "
                         "overlap (corpus or budget drift?)")
         return failures, lines
 
     for key in common:
-        fc, bc = fresh_rows[key]["astar_cost"], base_rows[key]["astar_cost"]
+        fc, bc = f_rows[key]["astar_cost"], b_rows[key]["astar_cost"]
         if fc != bc:
             failures.append(f"cost mismatch on {key[0]} at B={key[1]}: "
                             f"fresh {fc} vs baseline {bc}")
 
-    # The wall-ratio gate measures *search* throughput, so it only sums
-    # rows where the baseline's legacy core did real work — sub-hundredth
-    # rows are dominated by per-probe interpreter overhead, which neither
-    # scales with machine speed nor reflects the cores under test.
-    timed = [k for k in common
-             if base_rows[k]["legacy_wall_s"] >= min_row_wall]
-    lines.append(f"rows in ratio gate (baseline legacy >= "
-                 f"{min_row_wall}s): {len(timed)}")
-    f_astar = sum(fresh_rows[k]["astar_wall_s"] for k in timed)
-    f_legacy = sum(fresh_rows[k]["legacy_wall_s"] for k in timed)
-    b_astar = sum(base_rows[k]["astar_wall_s"] for k in timed)
-    b_legacy = sum(base_rows[k]["legacy_wall_s"] for k in timed)
+    f_astar = sum(f_rows[k]["astar_wall_s"] for k in common)
+    b_astar = sum(b_rows[k]["astar_wall_s"] for k in common)
+    f_legacy = sum(f_legacy_rows[k]["legacy_wall_s"] for k in paired)
+    b_legacy = sum(b_legacy_rows[k]["legacy_wall_s"] for k in paired)
     lines.append(f"fresh:    A* {f_astar:.2f}s / legacy {f_legacy:.2f}s")
     lines.append(f"baseline: A* {b_astar:.2f}s / legacy {b_legacy:.2f}s")
     if f_legacy < min_legacy_wall or b_legacy < min_legacy_wall:
@@ -100,16 +94,13 @@ def main(argv=None) -> int:
     ap.add_argument("--min-legacy-wall", type=float, default=0.2,
                     help="skip the ratio gate when either report's paired "
                          "legacy wall time is below this (seconds)")
-    ap.add_argument("--min-row-wall", type=float, default=0.05,
-                    help="only rows whose baseline legacy wall time is at "
-                         "least this many seconds enter the ratio gate")
     args = ap.parse_args(argv)
     with open(args.fresh) as fh:
         fresh = json.load(fh)
     with open(args.baseline) as fh:
         baseline = json.load(fh)
     failures, lines = compare(fresh, baseline, args.tolerance,
-                              args.min_legacy_wall, args.min_row_wall)
+                              args.min_legacy_wall)
     for line in lines:
         print(line)
     for failure in failures:

@@ -39,8 +39,10 @@ from .base import OptimalityContract, Scheduler
 from .search import SearchProblem, SearchStats, TranspositionTable, astar
 
 #: Soft cap on graph size; beyond this the search space is hopeless.  The
-#: informed core pushed this up from the uninformed-Dijkstra era's 22, and
-#: the vectorized expansion kernels from 26 to 32.
+#: uninformed-Dijkstra era stopped at 22.  The informed core runs the CI
+#: differential fuzz at this cap (graphs of up to 21 nodes, 25k settled
+#: states) with 3 probes skipped, each by the state cap: the settled-state
+#: cap, not this one, is what bounds a search in practice.
 DEFAULT_MAX_NODES = 32
 
 #: Cap on settled (expanded) configurations; loose budgets on mid-size
@@ -79,13 +81,6 @@ class ExhaustiveScheduler(Scheduler):
     core:
         ``"search"`` (default) for the informed core, ``"legacy"`` for the
         original uninformed Dijkstra with explicit M4 moves.
-    vectorized:
-        Route the informed core's expansion through the numpy kernels
-        (incremental store heuristics, batched must-become-red closures).
-        The search trajectory — every cost and schedule — is
-        byte-identical to the scalar core; ``False`` forces the scalar
-        kernels (the automatic fallback when numpy is missing or the
-        weights would overflow int64).
     anytime:
         Degrade gracefully instead of raising: when a probe is cancelled
         (deadline, memory watchdog, external cancel) or trips the
@@ -106,11 +101,7 @@ class ExhaustiveScheduler(Scheduler):
     #: instances (whose degraded probes may return upper bounds, not
     #: optima) key differently.  ``last_anytime`` likewise stays out of
     #: the key (``None`` would fold in; an ``AnytimeResult`` does not).
-    #: ``vectorized`` works the same way and additionally *may* stay out
-    #: of the key entirely — the vector kernels are trajectory-identical,
-    #: so probe caches are interchangeable either way.
     anytime = False
-    vectorized = True
     last_anytime: Optional[AnytimeResult] = None
 
     #: Exact probes of the same graph are cheapest high-budget-first:
@@ -118,8 +109,8 @@ class ExhaustiveScheduler(Scheduler):
     #: budget seeds ``upper_bound`` pruning for the lower-budget probes
     #: that follow.  Batch callers (``CachedCostFn.prime``,
     #: ``minimum_fast_memory``) consult this advisory class attribute to
-    #: reorder *evaluation* (never results).  Class-level for the same
-    #: cache-key reason as ``vectorized`` above.
+    #: reorder *evaluation* (never results).  Class-level, like
+    #: ``anytime`` above, so it never enters ``cache_key()``.
     monotone_budget_probes = True
 
     contract = OptimalityContract(
@@ -137,14 +128,11 @@ class ExhaustiveScheduler(Scheduler):
                  max_states: Optional[int] = DEFAULT_MAX_STATES,
                  use_heuristic: bool = True,
                  core: str = "search",
-                 anytime: bool = False,
-                 vectorized: bool = True):
+                 anytime: bool = False):
         if core not in ("search", "legacy"):
             raise ValueError(f"core must be 'search' or 'legacy', got {core!r}")
         if anytime:
             self.anytime = True     # see the class-attribute note above
-        if not vectorized:
-            self.vectorized = False
         self.max_nodes = max_nodes
         self.final_red = final_red
         self.require_blue_sinks = require_blue_sinks
@@ -376,7 +364,7 @@ class ExhaustiveScheduler(Scheduler):
             use_heuristic=self.use_heuristic,
             max_states=self.max_states,
             upper_bound=None if ubT == float("inf") else int(ubT),
-            stats=stats, anytime=True, vectorized=self.vectorized)
+            stats=stats, anytime=True)
         if res.exact:
             table.record(b, int(res.upper_bound))
             return res
@@ -427,7 +415,7 @@ class ExhaustiveScheduler(Scheduler):
             use_heuristic=self.use_heuristic,
             max_states=self.max_states,
             upper_bound=None if ub == float("inf") else int(ub),
-            stats=stats, vectorized=self.vectorized)
+            stats=stats)
         table.record(b, cost)
         return cost, schedule
 

@@ -56,7 +56,7 @@ from __future__ import annotations
 import bisect
 import heapq
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..core.cdag import CDAG
 from ..core.exceptions import (GraphStructureError, ProbeCancelledError,
@@ -65,25 +65,9 @@ from ..core.governor import AnytimeResult, CancellationToken, current_token
 from ..core.moves import M1, M2, M3, M4, Move
 from ..core.schedule import Schedule
 
-try:                              # numpy is optional: the scalar core is
-    import numpy as _np           # always available and value-identical.
-except ImportError:               # pragma: no cover - numpy is baked in
-    _np = None
-
 __all__ = ["SearchProblem", "SearchStats", "TranspositionTable", "astar"]
 
 _INF = float("inf")
-
-#: Below this many batched items the numpy fixed costs (array allocation,
-#: dtype churn) exceed the scalar loop they replace; the vector core then
-#: degrades to the scalar kernels, which compute the same values.
-_VEC_MIN_BATCH = 16
-
-_U64 = (1 << 64) - 1
-
-#: Weights whose total exceeds this stay on the scalar (big-int) kernels:
-#: the vectorized tables hold int64 and must never overflow silently.
-_VEC_MAX_WEIGHT = 1 << 31
 
 #: Bits per precomputed popcount-weight table chunk (≤ 16 KiB of ints each).
 _CHUNK_BITS = 14
@@ -128,8 +112,8 @@ class SearchProblem:
 
     __slots__ = ("cdag", "nodes", "index", "n", "w", "parents_mask",
                  "source_mask", "nonsource_mask", "full_mask", "goal_blue",
-                 "goal_red", "require_blue_sinks", "final_red", "goal_w",
-                 "m1", "m2", "m3", "m4", "_tables", "_evict_cache", "_vec")
+                 "goal_red", "require_blue_sinks", "final_red",
+                 "m1", "m2", "m3", "m4", "_tables", "_evict_cache")
 
     def __init__(self, cdag: CDAG, require_blue_sinks: bool = True,
                  final_red: Optional[tuple] = None):
@@ -164,10 +148,6 @@ class SearchProblem:
         for v in self.final_red:
             goal_red |= 1 << index[v]
         self.goal_red = goal_red
-        # Per-node heuristic store-term weight: w[i] when i is a goal sink
-        # (storing it discharges one outstanding M2), else 0.
-        self.goal_w = [self.w[i] if goal_blue >> i & 1 else 0
-                       for i in range(n)]
         # Per-node Move objects, so expansion never rebuilds them.
         self.m1 = [M1(v) for v in nodes]
         self.m2 = [M2(v) for v in nodes]
@@ -187,19 +167,8 @@ class SearchProblem:
             tables.append(tab)
         self._tables = tables
         self._evict_cache: Dict[Tuple[int, int], Tuple[int, ...]] = {}
-        self._vec: Optional["_VectorCore"] = None
 
     # ------------------------------------------------------------------ #
-
-    def vector(self) -> Optional["_VectorCore"]:
-        """The cached numpy kernel bundle for this problem, or ``None``
-        when numpy is unavailable or the weights would overflow int64
-        arithmetic (the scalar core then handles everything)."""
-        vec = self._vec
-        if vec is None and _np is not None and self.n:
-            if self.mask_weight(self.full_mask) < _VEC_MAX_WEIGHT:
-                vec = self._vec = _VectorCore(self)
-        return vec
 
     def mask_weight(self, mask: int) -> int:
         """Total weight of the nodes in ``mask``."""
@@ -284,193 +253,6 @@ class SearchProblem:
                 and len(self._evict_cache) < _EVICT_CACHE_KEYS):
             self._evict_cache[key] = result
         return result
-
-
-class _VectorCore:
-    """Numpy kernels over packed bitmask states for one SearchProblem.
-
-    States are packed into uint64 *limbs*: one column for n ≤ 64 (the
-    fast path) and ``ceil(n / 64)`` columns above that, so every bitwise
-    kernel is a per-limb array op and nothing here caps the graph size.
-    Weight-of-mask lookups go through 16-bit-aligned per-limb tables
-    (never straddling a limb boundary), and the must-become-red closure
-    of the residual-I/O heuristic runs as a synchronized fixpoint across
-    the whole batch: each round ORs the parent masks of every
-    still-needed node into every row at once.  The fixpoint is
-    order-independent, so the converged ``need`` sets — and therefore the
-    heuristic values — are byte-identical to the scalar walk's.
-
-    Eviction-set enumeration stays scalar by design: minimal-set DFS
-    with suffix-weight pruning branches data-dependently per node, the
-    per-expansion candidate sets are small, and the enumeration is
-    memoized in :attr:`SearchProblem._evict_cache` — there is no batch
-    shape for numpy to exploit.
-    """
-
-    __slots__ = ("p", "limbs", "w_arr", "gw_arr", "pm_packed",
-                 "source_packed", "goal_blue_packed", "_w16")
-
-    def __init__(self, problem: SearchProblem):
-        self.p = problem
-        n = problem.n
-        self.limbs = (n + 63) // 64
-        self.w_arr = _np.array(problem.w, dtype=_np.int64)
-        self.gw_arr = _np.array(problem.goal_w, dtype=_np.int64)
-        self.pm_packed = _np.empty((n, self.limbs), dtype=_np.uint64)
-        for i in range(n):
-            self.pm_packed[i] = self.pack(problem.parents_mask[i])
-        self.source_packed = self.pack(problem.source_mask)
-        self.goal_blue_packed = self.pack(problem.goal_blue)
-        # 16-bit-aligned weight tables per limb: tab[(limb >> s) & 0xFFFF]
-        # sums the weights of the masked nodes.  Built with vectorized
-        # bit tests so construction is O(16) array ops per table.
-        w16: List[List[Tuple[int, "_np.ndarray"]]] = []
-        span = _np.arange(1 << 16, dtype=_np.int64)
-        for l in range(self.limbs):
-            tabs: List[Tuple[int, "_np.ndarray"]] = []
-            for s in range(0, 64, 16):
-                base = 64 * l + s
-                if base >= n:
-                    break
-                tab = _np.zeros(1 << 16, dtype=_np.int64)
-                for j in range(min(16, n - base)):
-                    wj = problem.w[base + j]
-                    if wj:
-                        tab += ((span >> j) & 1) * wj
-                tabs.append((s, tab))
-            w16.append(tabs)
-        self._w16 = w16
-
-    def pack(self, mask: int) -> "_np.ndarray":
-        """A Python-int bitmask as a ``(limbs,)`` uint64 row."""
-        row = _np.empty(self.limbs, dtype=_np.uint64)
-        for l in range(self.limbs):
-            row[l] = (mask >> (64 * l)) & _U64
-        return row
-
-    def pack_batch(self, masks: List[int]) -> "_np.ndarray":
-        """Python-int bitmasks as a ``(len(masks), limbs)`` uint64 array."""
-        out = _np.empty((len(masks), self.limbs), dtype=_np.uint64)
-        for j, m in enumerate(masks):
-            for l in range(self.limbs):
-                out[j, l] = (m >> (64 * l)) & _U64
-        return out
-
-    def weight_batch(self, masks: "_np.ndarray") -> "_np.ndarray":
-        """Per-row mask weights of a packed ``(B, limbs)`` batch."""
-        out = _np.zeros(masks.shape[0], dtype=_np.int64)
-        low16 = _np.uint64(0xFFFF)
-        for l, tabs in enumerate(self._w16):
-            col = masks[:, l]
-            for s, tab in tabs:
-                out += tab[(col >> _np.uint64(s)) & low16]
-        return out
-
-    def goal_batch(self, reds: "_np.ndarray", blues: "_np.ndarray"
-                   ) -> "_np.ndarray":
-        """Per-row goal test of packed ``(B, limbs)`` red/blue batches."""
-        gb = self.goal_blue_packed
-        gr = self.pack(self.p.goal_red)
-        ok = ((blues & gb) == gb).all(axis=1)
-        ok &= ((reds & gr) == gr).all(axis=1)
-        return ok
-
-    def store_batch(self, red: int, blue: int, g: int, h: int,
-                    use_heuristic: bool):
-        """All M2-store successors of ``(red, blue)`` as aligned arrays.
-
-        Returns ``(indices, ng, nf)`` in ascending node order.  ``nf``
-        uses the incremental store identity ``h(red, blue | i) = h - gw[i]``
-        (the stored node is red, so the must-become-red closure cannot
-        change; only the store term drops) — no closure walks at all.
-        """
-        idx: List[int] = []
-        m = red & ~blue
-        while m:
-            low = m & -m
-            m ^= low
-            idx.append(low.bit_length() - 1)
-        ia = _np.array(idx, dtype=_np.int64)
-        ng = g + self.w_arr[ia]
-        nf = ng + (h - self.gw_arr[ia]) if use_heuristic else ng
-        return idx, ng.tolist(), nf.tolist()
-
-    def acquire_heuristics(self, reds: List[int], blue: int, hc: Dict,
-                           st: SearchStats,
-                           tok: Optional[CancellationToken]) -> List[int]:
-        """Heuristic values for acquire successors (new reds, same blue).
-
-        Serves memo hits scalar, then evaluates the misses through the
-        batched closure (or the scalar walk below the batch threshold),
-        memoizing every result.  Values are identical to
-        :meth:`SearchProblem.heuristic` on each state.
-        """
-        p = self.p
-        out = [0] * len(reds)
-        miss_idx: List[int] = []
-        miss_reds: List[int] = []
-        for j, r in enumerate(reds):
-            v = hc.get((r, blue))
-            if v is None:
-                miss_idx.append(j)
-                miss_reds.append(r)
-            else:
-                out[j] = v
-        if not miss_reds:
-            return out
-        st.heuristic_evals += len(miss_reds)
-        if len(miss_reds) < _VEC_MIN_BATCH:
-            for j, r in zip(miss_idx, miss_reds):
-                v = p.heuristic(r, blue)
-                hc[(r, blue)] = v
-                out[j] = v
-            return out
-        vals = self.closure_batch(miss_reds, blue, tok)
-        for j, r, v in zip(miss_idx, miss_reds, vals):
-            hc[(r, blue)] = v
-            out[j] = v
-        return out
-
-    def closure_batch(self, reds: List[int], blue: int,
-                      tok: Optional[CancellationToken] = None) -> List[int]:
-        """Residual-I/O heuristic for many red sets under one blue set.
-
-        The store term is shared (it depends only on ``blue``); the
-        must-become-red closures run as a synchronized fixpoint over the
-        packed batch.  Each round gathers the union of still-open nodes
-        across all rows, then ORs each such node's parent mask into
-        exactly the rows where it is open — popcount(union) array ops
-        per round, at most ``depth(cdag)`` rounds.
-        """
-        p = self.p
-        store = p.mask_weight(p.goal_blue & ~blue)
-        rarr = self.pack_batch(reds)
-        blue_row = self.pack(blue)
-        seed = self.pack((p.goal_blue & ~blue) | p.goal_red)
-        need = seed & ~rarr
-        todo = need & ~blue_row
-        pmp = self.pm_packed
-        one = _np.uint64(1)
-        while True:
-            union = 0
-            for l in range(self.limbs - 1, -1, -1):
-                union = (union << 64) | int(_np.bitwise_or.reduce(todo[:, l]))
-            if not union:
-                break
-            if tok is not None:
-                tok.raise_if_cancelled("batched heuristic closure")
-            add = _np.zeros_like(todo)
-            while union:
-                low = union & -union
-                union ^= low
-                j = low.bit_length() - 1
-                sel = (todo[:, j >> 6] >> _np.uint64(j & 63)) & one
-                add |= pmp[j] * sel[:, None]
-            new = add & ~rarr & ~need
-            need |= new
-            todo = new & ~blue_row
-        weights = self.weight_batch(need & self.source_packed)
-        return [store + int(v) for v in weights]
 
 
 class TranspositionTable:
@@ -566,7 +348,6 @@ def astar(problem: SearchProblem, budget: int, *,
           stats: Optional[SearchStats] = None,
           token: Optional[CancellationToken] = None,
           anytime: bool = False,
-          vectorized: bool = False,
           ):
     """A* over normalized WRBPG configurations.
 
@@ -599,13 +380,6 @@ def astar(problem: SearchProblem, budget: int, *,
     returned optimum).  In anytime mode a tripped
     ``max_states`` cap likewise returns a bracket (reason ``"states"``)
     instead of raising.
-
-    ``vectorized`` routes expansion through the numpy kernels of
-    :class:`_VectorCore` — same push order, same heuristic values, same
-    pruning decisions, so the search trajectory (and with it every cost
-    and schedule) is byte-identical to the scalar core.  The flag
-    silently falls back to scalar when numpy is unavailable or the
-    weights would overflow the int64 kernels.
     """
     p = problem
     b = budget
@@ -613,12 +387,10 @@ def astar(problem: SearchProblem, budget: int, *,
     hc: Dict[Tuple[int, int], int] = {}
     ub = upper_bound if upper_bound is not None else _INF
     tok = token if token is not None else current_token()
-    vec = p.vector() if vectorized else None
 
     w = p.w
     pm = p.parents_mask
     mask_weight = p.mask_weight
-    n = p.n
 
     def hval(red: int, blue: int) -> int:
         if not use_heuristic:
@@ -662,17 +434,13 @@ def astar(problem: SearchProblem, budget: int, *,
                              source="search", stats=st.as_dict())
 
     def push(nred: int, nblue: int, ng: int, state: Tuple[int, int],
-             evict_mask: int, final_move: Move,
-             nf: Optional[int] = None) -> None:
-        # ``nf`` lets the vectorized expansion hand in a pre-batched
-        # f-value; it always equals ``ng + hval(nred, nblue)``.
+             evict_mask: int, final_move: Move) -> None:
         nonlocal seq, ub, best_g, best_state
         nxt = (nred, nblue)
         old = dist.get(nxt, inf)
         if ng >= old:
             return
-        if nf is None:
-            nf = ng + hval(nred, nblue)
+        nf = ng + hval(nred, nblue)
         if nf > ub:
             st.bound_pruned += 1
             # Remember the pruned label: f depends only on (g, state), so
@@ -703,7 +471,7 @@ def astar(problem: SearchProblem, budget: int, *,
                 raise ProbeCancelledError(
                     f"informed search on {p.cdag.name!r} cancelled ({r})",
                     reason=r, stats=st.as_dict())
-        f, _, _, g, red, blue = heapq.heappop(heap)
+        _, _, _, g, red, blue = heapq.heappop(heap)
         state = (red, blue)
         if g > dist.get(state, inf):
             st.stale_pops += 1
@@ -734,114 +502,39 @@ def astar(problem: SearchProblem, budget: int, *,
                 size=settled, limit=max_states, stats=st.as_dict())
         try:
             rw = mask_weight(red)
-            if vec is not None:
-                # Vectorized expansion.  Same successor order and values
-                # as the scalar branch below; only *where* the heuristic
-                # values come from differs (see _VectorCore).  The popped
-                # entry carries f = g + h, so the parent's heuristic is
-                # recovered without a memo lookup.
-                h_par = (f - g) if use_heuristic else 0
-                gw = p.goal_w
-                # Stores: incremental h (the stored node is red, so only
-                # the store term drops), batched through numpy arithmetic
-                # once the run of candidates is long enough to pay off.
-                m = red & ~blue
-                if use_heuristic and m.bit_count() >= _VEC_MIN_BATCH:
-                    for i, ng, nf in zip(*vec.store_batch(
-                            red, blue, g, h_par, use_heuristic)):
-                        push(red, blue | (1 << i), ng, state, 0, p.m2[i],
-                             nf=nf)
-                else:
-                    while m:
-                        low = m & -m
-                        m ^= low
-                        i = low.bit_length() - 1
-                        ng = g + w[i]
-                        nf = ng + h_par - gw[i] if use_heuristic else ng
-                        push(red, blue | low, ng, state, 0, p.m2[i], nf=nf)
-                # Acquires: scalar pushes, except that a candidate whose
-                # eviction fan is large batches its successors' heuristics
-                # through the synchronized closure.  Per-candidate runs
-                # are contiguous in push order, their red sets pairwise
-                # distinct, and their blue set unchanged, so deferring the
-                # pushes to the end of the run changes nothing.
-                for cand, is_load in ((blue & ~red, True),
-                                      (p.nonsource_mask & ~red, False)):
-                    while cand:
-                        low = cand & -cand
-                        cand ^= low
-                        i = low.bit_length() - 1
-                        if is_load:
-                            protected = 0
-                            cost = w[i]
-                            move = p.m1[i]
-                        else:
-                            protected = pm[i]
-                            if protected & ~red:
-                                continue    # some parent not red
-                            cost = 0
-                            move = p.m3[i]
-                        ng = g + cost
-                        deficit = rw + w[i] - b
-                        if deficit <= 0:
-                            push(red | low, blue, ng, state, 0, move)
-                            continue
-                        evictable = red & ~protected
-                        evs = p.minimal_evictions(evictable, deficit)
-                        if not use_heuristic or len(evs) < _VEC_MIN_BATCH:
-                            for d_mask in evs:
-                                push((red & ~d_mask) | low, blue, ng,
-                                     state, d_mask, move)
-                            continue
-                        items = [((red & ~d_mask) | low, d_mask)
-                                 for d_mask in evs]
-                        items = [t for t in items
-                                 if ng < dist.get((t[0], blue), inf)]
-                        if len(items) >= _VEC_MIN_BATCH:
-                            hv = vec.acquire_heuristics(
-                                [t[0] for t in items], blue, hc, st, tok)
-                            for (nred, d_mask), h_new in zip(items, hv):
-                                push(nred, blue, ng, state, d_mask, move,
-                                     nf=ng + h_new)
-                        else:
-                            for nred, d_mask in items:
-                                push(nred, blue, ng, state, d_mask, move)
-            else:
-                # Stores: M2 for every red, not-yet-blue node.
-                m = red & ~blue
-                while m:
-                    low = m & -m
-                    m ^= low
+            # Stores: M2 for every red, not-yet-blue node.
+            m = red & ~blue
+            while m:
+                low = m & -m
+                m ^= low
+                i = low.bit_length() - 1
+                push(red, blue | low, g + w[i], state, 0, p.m2[i])
+            # Acquires: M1 (blue, not red) and M3 (parents red, not red),
+            # each with every minimal eviction set that makes it fit.
+            for cand, is_load in ((blue & ~red, True),
+                                  (p.nonsource_mask & ~red, False)):
+                while cand:
+                    low = cand & -cand
+                    cand ^= low
                     i = low.bit_length() - 1
-                    push(red, blue | low, g + w[i], state, 0, p.m2[i])
-                # Acquires: M1 (blue, not red) and M3 (parents red, not
-                # red), each with every minimal eviction set that makes
-                # it fit.
-                for cand, is_load in ((blue & ~red, True),
-                                      (p.nonsource_mask & ~red, False)):
-                    while cand:
-                        low = cand & -cand
-                        cand ^= low
-                        i = low.bit_length() - 1
-                        if is_load:
-                            protected = 0
-                            cost = w[i]
-                            move = p.m1[i]
-                        else:
-                            protected = pm[i]
-                            if protected & ~red:
-                                continue    # some parent not red: M3 illegal
-                            cost = 0
-                            move = p.m3[i]
-                        deficit = rw + w[i] - b
-                        if deficit <= 0:
-                            push(red | low, blue, g + cost, state, 0, move)
-                            continue
-                        evictable = red & ~protected
-                        for d_mask in p.minimal_evictions(evictable,
-                                                          deficit):
-                            push((red & ~d_mask) | low, blue, g + cost,
-                                 state, d_mask, move)
+                    if is_load:
+                        protected = 0
+                        cost = w[i]
+                        move = p.m1[i]
+                    else:
+                        protected = pm[i]
+                        if protected & ~red:
+                            continue    # some parent not red: M3 illegal
+                        cost = 0
+                        move = p.m3[i]
+                    deficit = rw + w[i] - b
+                    if deficit <= 0:
+                        push(red | low, blue, g + cost, state, 0, move)
+                        continue
+                    evictable = red & ~protected
+                    for d_mask in p.minimal_evictions(evictable, deficit):
+                        push((red & ~d_mask) | low, blue, g + cost,
+                             state, d_mask, move)
         except ProbeCancelledError as exc:
             # Cancelled mid-expansion (inside the eviction enumeration).
             exc.stats.update(st.as_dict())

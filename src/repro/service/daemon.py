@@ -197,7 +197,14 @@ class SchedulingDaemon:
         if self._conn_tasks:
             await asyncio.gather(*list(self._conn_tasks),
                                  return_exceptions=True)
-        self._pool.shutdown(wait=True, cancel_futures=True)
+        # Join the solve threads off the loop: a solve that does not poll
+        # its token keeps running until it returns, and the loop must
+        # keep serving its callbacks meanwhile.
+        running = min(self._active, self.max_inflight)
+        if running:
+            self._log(f"waiting for {running} running solve(s) to return")
+        await asyncio.to_thread(self._pool.shutdown, wait=True,
+                                cancel_futures=True)
         if self._close_engine:
             self.engine.close()
         else:

@@ -7,23 +7,15 @@ backed by a real reconstructed schedule.  Those properties have to hold
 at *every* stopping point, not just convenient ones, so these tests sweep
 the stopping point across the whole search trajectory (state caps 1, 2,
 4, ... and a counter-driven deadline that fires on the N-th poll for
-every N) for both the scalar and the vectorized core.
+every N).
 """
 
 import itertools
 import math
 
-import pytest
-
 from repro.analysis.fuzz import budgets_for, corpus
 from repro.core import CancellationToken, GraphStructureError
 from repro.schedulers import SearchProblem, astar
-from repro.schedulers import search as search_mod
-
-
-def _require_core(vectorized):
-    if vectorized and search_mod._np is None:
-        pytest.skip("vectorized core needs numpy")
 
 
 def _small_cases(seed=0, max_nodes=9, per_graph=None):
@@ -59,40 +51,20 @@ def _assert_sound(res, opt, graph, key):
 # Settled-state caps
 
 
-@pytest.mark.parametrize("vectorized", [False, True])
-def test_state_cap_brackets_contain_optimum(vectorized):
+def test_state_cap_brackets_contain_optimum():
     """lb <= opt <= ub at every truncation depth, and the bracket closes
     (reason "exact") once the cap stops binding."""
-    _require_core(vectorized)
     checked = 0
     for name, graph, problem, budget, opt in _small_cases(per_graph=3):
         closed = False
         for cap in (1, 2, 4, 8, 16, 64, 256, 100_000):
             res = astar(problem, budget, anytime=True, max_states=cap,
-                        want_schedule=True, vectorized=vectorized)
+                        want_schedule=True)
             _assert_sound(res, opt, graph, (name, budget, cap))
             closed = closed or res.reason == "exact"
             checked += 1
         assert closed, (name, budget)   # uncapped run must certify exactly
     assert checked >= 80    # the corpus filter still yields real coverage
-
-
-def test_capped_brackets_scalar_vectorized_identical():
-    """Trajectory identity survives truncation: at the same settled-state
-    cap both cores stop on the same frontier and report the same bracket."""
-    _require_core(True)
-    for name, graph, problem, budget, opt in _small_cases(per_graph=2):
-        for cap in (1, 4, 16, 64):
-            rs = astar(problem, budget, anytime=True, max_states=cap,
-                       want_schedule=True, vectorized=False)
-            rv = astar(problem, budget, anytime=True, max_states=cap,
-                       want_schedule=True, vectorized=True)
-            key = (name, budget, cap)
-            assert (rs.lower_bound, rs.upper_bound, rs.reason) == \
-                   (rv.lower_bound, rv.upper_bound, rv.reason), key
-            assert (rs.schedule is None) == (rv.schedule is None), key
-            if rs.schedule is not None:
-                assert list(rs.schedule) == list(rv.schedule), key
 
 
 # --------------------------------------------------------------------- #
@@ -108,11 +80,9 @@ def _counter_token(n):
                              rss_fn=lambda: None)
 
 
-@pytest.mark.parametrize("vectorized", [False, True])
-def test_cancellation_brackets_contain_optimum(vectorized):
+def test_cancellation_brackets_contain_optimum():
     """Sweeping the cancellation point over the whole trajectory never
     produces an unsound bracket, and a late-enough deadline completes."""
-    _require_core(vectorized)
     cases = [c for c in _small_cases(max_nodes=8, per_graph=2)][:6]
     assert len(cases) >= 3
     sweep = list(range(1, 33)) + [48, 64, 96, 128, 256, 512, 1024, 4096,
@@ -121,7 +91,7 @@ def test_cancellation_brackets_contain_optimum(vectorized):
         completed = False
         for n in sweep:
             res = astar(problem, budget, anytime=True, want_schedule=True,
-                        token=_counter_token(n), vectorized=vectorized)
+                        token=_counter_token(n))
             _assert_sound(res, opt, graph, (name, budget, n))
             if res.reason == "exact":
                 completed = True
@@ -129,14 +99,12 @@ def test_cancellation_brackets_contain_optimum(vectorized):
         assert completed, (name, budget)    # sweep must outlast the search
 
 
-@pytest.mark.parametrize("vectorized", [False, True])
-def test_early_cancellation_keeps_admissible_lower_bound(vectorized):
+def test_early_cancellation_keeps_admissible_lower_bound():
     """A probe cancelled on its very first poll still answers with the
     root heuristic as lb and an infinite (no incumbent) ub."""
-    _require_core(vectorized)
     for name, graph, problem, budget, opt in [c for c in _small_cases()][:4]:
         res = astar(problem, budget, anytime=True, want_schedule=True,
-                    token=_counter_token(1), vectorized=vectorized)
+                    token=_counter_token(1))
         assert res.reason == "deadline"
         assert res.schedule is None and math.isinf(res.upper_bound)
         assert 0 <= res.lower_bound <= opt, (name, budget, res)

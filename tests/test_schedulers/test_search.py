@@ -9,7 +9,6 @@ reference, the plateau walk's state count) keeps the optimizations
 honest.
 """
 
-import itertools
 import math
 
 import pytest
@@ -62,18 +61,16 @@ def test_equivalence_on_fuzz_corpus(seed):
     assert compared >= 20  # the skip guards must not hollow out the test
 
 
-@pytest.mark.parametrize("use_heuristic,vectorized",
-                         list(itertools.product([True, False], repeat=2)))
-def test_escape_hatch_combos_agree(use_heuristic, vectorized):
-    """Every (heuristic, vector kernels) combination of the informed core's
-    escape hatches reports the same optimum as the legacy core."""
+@pytest.mark.parametrize("use_heuristic", [True, False])
+def test_escape_hatch_combos_agree(use_heuristic):
+    """The informed core reports the same optimum as the legacy core with
+    its heuristic on and with the Dijkstra escape hatch."""
     graphs = [dwt_graph(4, 1, weights=equal()),
               mvm_graph(2, 2, weights=equal()),
               complete_kary_tree(2, 2, weights=equal())]
     for graph in graphs:
         ref = ExhaustiveScheduler(core="legacy")
-        tuned = ExhaustiveScheduler(use_heuristic=use_heuristic,
-                                    vectorized=vectorized)
+        tuned = ExhaustiveScheduler(use_heuristic=use_heuristic)
         for budget in budgets_for(graph):
             assert _cost(tuned, graph, budget) == \
                 _cost(ref, graph, budget), (graph.name, budget)
@@ -284,76 +281,3 @@ def test_transposition_bounds_match_naive_reference():
                 assert table.lower_bound(q) == want_lb, (solved, q)
                 assert table.upper_bound(q) == want_ub, (solved, q)
                 assert table.lookup(q) == solved.get(q)
-
-
-# --------------------------------------------------------------------- #
-# Vectorized expansion == scalar expansion (costs AND schedules)
-
-
-def test_vectorized_core_matches_scalar_on_corpus():
-    compared = 0
-    for name, graph in corpus(0):
-        if len(graph) > 11:
-            continue
-        vec = ExhaustiveScheduler(max_states=50_000)  # vectorized default
-        sca = ExhaustiveScheduler(max_states=50_000, vectorized=False)
-        memo_v: dict = {}
-        memo_s: dict = {}
-        for budget in budgets_for(graph):
-            try:
-                v_cost = vec.cost_many(graph, (budget,), memo=memo_v)[0]
-                s_cost = sca.cost_many(graph, (budget,), memo=memo_s)[0]
-            except StateSpaceTooLargeError:
-                continue
-            assert v_cost == s_cost, (name, budget)
-            compared += 1
-    assert compared >= 20
-
-
-def test_vectorized_schedules_identical_to_scalar():
-    for graph in (dwt_graph(4, 2), mvm_graph(2, 3, weights=equal()),
-                  complete_kary_tree(2, 3)):
-        for budget in budgets_for(graph)[1:3]:
-            try:
-                sv = ExhaustiveScheduler().schedule(graph, budget)
-                ss = ExhaustiveScheduler(vectorized=False).schedule(
-                    graph, budget)
-            except InfeasibleBudgetError:
-                continue
-            assert list(sv) == list(ss), (graph.name, budget)
-
-
-def test_vectorized_forced_thresholds_still_identical(monkeypatch):
-    """Force every store/acquire batch through the numpy kernels
-    regardless of size: still byte-identical."""
-    import repro.schedulers.search as search_mod
-    monkeypatch.setattr(search_mod, "_VEC_MIN_BATCH", 1)
-    for graph in (dwt_graph(4, 2), mvm_graph(2, 3, weights=equal())):
-        for budget in budgets_for(graph)[:3]:
-            vec = ExhaustiveScheduler()
-            sca = ExhaustiveScheduler(vectorized=False)
-            assert _cost(vec, graph, budget) == _cost(sca, graph, budget)
-
-
-def test_vector_core_closure_matches_scalar_heuristic_beyond_64_nodes():
-    """The chunked big-int limb path (n > 64) computes the same residual
-    I/O values as the scalar closure."""
-    graph = dwt_graph(32, 2)  # > 64 nodes: two uint64 limbs
-    problem = SearchProblem(graph)
-    vec = problem.vector()
-    if vec is None:
-        pytest.skip("numpy unavailable")
-    assert vec.limbs >= 2
-    import random
-    rng = random.Random(7)
-    all_bits = [1 << i for i in range(problem.n)]
-    blue = 0
-    reds = []
-    for _ in range(24):
-        red = problem.source_mask
-        for bit in rng.sample(all_bits, rng.randint(0, problem.n // 2)):
-            red |= bit
-        reds.append(red)
-    got = vec.closure_batch(reds, blue)
-    want = [problem.heuristic(red, blue) for red in reds]
-    assert got == want

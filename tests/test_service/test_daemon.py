@@ -21,6 +21,7 @@ import asyncio
 import json
 import os
 import threading
+import time
 
 import pytest
 
@@ -352,7 +353,10 @@ class TestLifecycle:
             # must still terminate (cooperative cancel, then task
             # cancellation) instead of hanging.
             shut = asyncio.ensure_future(daemon.shutdown())
+            t0 = time.monotonic()
             await asyncio.sleep(0.3)
+            # The drain waits for the straggler without freezing the loop.
+            assert time.monotonic() - t0 < 2.0
             gate.release.set()  # let the executor thread exit
             await asyncio.wait_for(shut, 15.0)
             slow.cancel()
