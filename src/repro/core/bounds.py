@@ -25,15 +25,26 @@ def compute_footprint(cdag: CDAG, node: Node) -> int:
 
 def min_feasible_budget(cdag: CDAG) -> int:
     """Smallest budget for which a valid schedule exists (Prop. 2.3):
-    ``max_v (w_v + Σ_{p∈H(v)} w_p)`` over non-source nodes ``v``."""
-    footprints = [compute_footprint(cdag, v) for v in cdag if cdag.predecessors(v)]
-    if not footprints:
-        # Degenerate source-only graph (no edges, so every node is both an
-        # input and an output): no M3 ever runs, but materializing a stored
-        # output in a memory-state replay still takes an M1/M2 pair, which
-        # holds w_v of red weight — so the widest node sets the budget.
-        return max(cdag.weights.values(), default=1)
-    return max(footprints)
+    ``max_v (w_v + Σ_{p∈H(v)} w_p)`` over non-source nodes ``v``.
+
+    The graph is immutable, so the first call scans it and caches the
+    value on it; :meth:`CDAG.with_budget` clones share the cached value
+    and :meth:`CDAG.with_weights` clones scan again."""
+    need = cdag._min_budget
+    if need is None:
+        footprints = [compute_footprint(cdag, v) for v in cdag
+                      if cdag.predecessors(v)]
+        if footprints:
+            need = max(footprints)
+        else:
+            # Degenerate source-only graph (no edges, so every node is
+            # both an input and an output): no M3 ever runs, but
+            # materializing a stored output in a memory-state replay still
+            # takes an M1/M2 pair, which holds w_v of red weight — so the
+            # widest node sets the budget.
+            need = max(cdag.weights.values(), default=1)
+        cdag._min_budget = need
+    return need
 
 
 def schedule_exists(cdag: CDAG, budget: Optional[int] = None) -> bool:

@@ -51,7 +51,7 @@ class CDAG:
     """
 
     __slots__ = ("_preds", "_succs", "_weights", "_budget", "name",
-                 "_sources", "_sinks", "_topo")
+                 "_sources", "_sinks", "_topo", "_min_budget")
 
     def __init__(
         self,
@@ -97,6 +97,9 @@ class CDAG:
         self.name = name
 
         self._topo = self._toposort()
+        # Prop. 2.3's bound, filled in by core.bounds.min_feasible_budget
+        # on first use: it depends on the edges and weights only.
+        self._min_budget = None
         self._sources = tuple(v for v in self._topo if not preds[v])
         self._sinks = tuple(v for v in self._topo if not succs[v])
         overlap = set(self._sources) & set(self._sinks)
@@ -156,6 +159,7 @@ class CDAG:
         clone._sources = self._sources
         clone._sinks = self._sinks
         clone._topo = self._topo
+        clone._min_budget = self._min_budget
         return clone
 
     def with_weights(self, weights: Mapping[Node, int]) -> "CDAG":
@@ -175,6 +179,7 @@ class CDAG:
         clone._sources = self._sources
         clone._sinks = self._sinks
         clone._topo = self._topo
+        clone._min_budget = None  # new weights, new footprints
         return clone
 
     # ------------------------------------------------------------------ #

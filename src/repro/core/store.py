@@ -122,12 +122,22 @@ def graph_fingerprint(cdag: CDAG) -> str:
     of the weighted structure — safe across processes and runs (unlike
     ``id``).  ``SweepEngine.graph_key`` and ``Auditor.optimum_bracket``
     key their store records by it, so every writer agrees on one
-    address."""
-    h = hashlib.sha1()
-    for v in sorted(cdag, key=repr):
-        h.update(repr((v, cdag.weight(v),
-                       sorted(cdag.predecessors(v), key=repr))).encode())
-    return f"{cdag.name}#V{len(cdag)}#{h.hexdigest()[:12]}"
+    address.
+
+    The hashed text is, node by node in ``repr`` order, the ``repr`` of
+    the tuple ``(node, weight, [predecessors in repr order])``.  It is
+    assembled from one ``repr`` per node and hashed in one call, which
+    yields the same bytes, and so the same keys, as building and
+    ``repr``-ing each tuple."""
+    names = {v: repr(v) for v in cdag}
+    name = names.__getitem__
+    weights = cdag.weights
+    text = "".join([
+        f"({names[v]}, {weights[v]!r}, "
+        f"[{', '.join(sorted(map(name, cdag.predecessors(v))))}])"
+        for v in sorted(names, key=name)])
+    digest = hashlib.sha1(text.encode()).hexdigest()
+    return f"{cdag.name}#V{len(cdag)}#{digest[:12]}"
 
 
 def crash_at(point: str, exit_code: int = 7) -> Callable[[str], None]:

@@ -4,18 +4,18 @@ The paper evaluates two benchmark graphs — ``DWT(256, 8)`` and
 ``MVM(96, 120)`` — under two weight configurations (*Equal* and *Double
 Accumulator*), each against a dedicated baseline (layer-by-layer for DWT,
 IOOpt for MVM).  This module builds those workloads once and exposes the
-per-strategy cost functions every figure/table driver uses.
+graphs and strategies every figure/table driver uses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, Tuple
+from typing import Callable, Tuple
 
 from ..baselines import IOOptModel
 from ..core import CDAG, WeightConfig, algorithmic_lower_bound, equal, \
-    double_accumulator, min_feasible_budget
+    double_accumulator
 from ..graphs import dwt_graph, mvm_graph
 from ..schedulers import (LayerByLayerScheduler, OptimalDWTScheduler,
                           TilingMVMScheduler)
@@ -44,12 +44,6 @@ class DWTWorkload:
     def lower_bound(self) -> int:
         return algorithmic_lower_bound(self.graph)
 
-    def optimum_cost_fn(self) -> Callable[[int], float]:
-        return lambda b: self.optimum.cost(self.graph, b)
-
-    def baseline_cost_fn(self) -> Callable[[int], float]:
-        return lambda b: self.baseline.cost(self.graph, b)
-
 
 @dataclass(frozen=True)
 class MVMWorkload:
@@ -68,9 +62,6 @@ class MVMWorkload:
     @property
     def lower_bound(self) -> int:
         return algorithmic_lower_bound(self.graph)
-
-    def tiling_cost_fn(self) -> Callable[[int], float]:
-        return lambda b: self.tiling.cost(self.graph, b)
 
     def ioopt_cost_fn(self) -> Callable[[int], float]:
         return lambda b: self.ioopt.upper_bound(b)

@@ -23,13 +23,22 @@ provided:
 Either way the spiller prefers free victims (already-blue or consumed
 nodes, deleted without I/O) before paying to spill a live value, so the
 baseline's I/O curve degrades gracefully as the budget shrinks.
+
+The policy lives in one private spill walk, :meth:`_walk`, which
+:meth:`schedule` and :meth:`cost_many` both run.  The walk sums the
+weights of its M1/M2 moves (Def. 2.2) and builds
+:class:`~repro.core.moves.Move` objects only for :meth:`schedule`, so a
+sweep probe builds no schedule.  :meth:`cost` still goes through
+:meth:`schedule`, so the audit's ``cost_many``-versus-``cost`` check
+compares the two.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Set
 
-from ..core.bounds import require_feasible
+from ..core.bounds import min_feasible_budget, require_feasible
 from ..core.cdag import CDAG, Node
 from ..core.exceptions import GraphStructureError, InfeasibleBudgetError
 from ..core.moves import M1, M2, M3, M4, Move
@@ -70,9 +79,52 @@ class LayerByLayerScheduler(Scheduler):
 
     def schedule(self, cdag: CDAG, budget: Optional[int] = None) -> Schedule:
         b = require_feasible(cdag, budget)
-        layers = _layers(cdag)
         moves: List[Move] = []
+        self._walk(cdag, _passes(cdag), b, moves)
+        return Schedule(moves)
 
+    def cost_many(self, cdag: CDAG, budgets, *, memo=None):
+        """Batched :meth:`cost`: one spill walk per budget, counting I/O
+        without building moves.
+
+        The memo keeps the graph's pass order, so later probes on the
+        same graph skip the layer sort.  Budgets below Prop. 2.3's bound
+        (cached on the graph) answer ``math.inf`` without a walk, before
+        the graph's naming is checked, as :meth:`schedule` orders the
+        two errors.
+        """
+        state = memo if memo is not None else {}
+        need = min_feasible_budget(cdag)
+        out: List[float] = []
+        for budget in budgets:
+            b = cdag.budget if budget is None else budget
+            if b is None or b < need:
+                out.append(math.inf)
+                continue
+            if state.get("graph") is not cdag:
+                passes = _passes(cdag)
+                state.clear()
+                state["graph"] = cdag
+                state["passes"] = passes
+            try:
+                out.append(self._walk(cdag, state["passes"], b))
+            except InfeasibleBudgetError:
+                out.append(math.inf)
+        return out
+
+    def _walk(self, cdag: CDAG, passes: tuple, b: int,
+              moves: Optional[List[Move]] = None) -> int:
+        """Play the FIFO-spill traversal over ``passes`` at budget ``b``.
+
+        Returns the weighted I/O of the schedule (Def. 2.2), summed in
+        move order, and appends the moves to ``moves`` when one is given.
+        Raises :class:`InfeasibleBudgetError` when pinned nodes alone
+        overflow ``b`` or a needed value was never computed.
+        """
+        weight = cdag.weights
+        emit = moves.append if moves is not None else None
+        eager = self.retention == "eager"
+        cost = 0
         remaining: Dict[Node, int] = {v: cdag.out_degree(v) for v in cdag}
         # Red set as insertion-ordered dict => FIFO by placement time.
         red: Dict[Node, None] = {}
@@ -82,31 +134,33 @@ class LayerByLayerScheduler(Scheduler):
         # Nodes fully consumed, awaiting deferred release: (node, pass#).
         pending_release: List[tuple] = []
 
-        def place(v: Node) -> None:
-            nonlocal red_weight
+        def load(v: Node) -> None:
+            nonlocal cost, red_weight
+            cost += weight[v]
+            if emit:
+                emit(M1(v))
             red[v] = None
-            red_weight += cdag.weight(v)
+            red_weight += weight[v]
 
-        def drop(v: Node) -> None:
+        def store(v: Node) -> None:
+            nonlocal cost
+            cost += weight[v]
+            if emit:
+                emit(M2(v))
+
+        def delete(v: Node) -> None:
             nonlocal red_weight
+            if emit:
+                emit(M4(v))
             del red[v]
-            red_weight -= cdag.weight(v)
+            red_weight -= weight[v]
 
         def release(v: Node) -> None:
             """Free a consumed (or output) pebble without losing data."""
             if v in sinks and v not in blue:
-                moves.append(M2(v))
+                store(v)
                 blue.add(v)
-            moves.append(M4(v))
-            drop(v)
-
-        def on_consumed(v: Node, pass_no: int) -> None:
-            if v not in red:
-                return
-            if self.retention == "eager":
-                release(v)
-            else:
-                pending_release.append((v, pass_no))
+            delete(v)
 
         def make_room(extra: int, pinned: Set[Node]) -> None:
             """Evict until ``extra`` more weight fits.
@@ -118,10 +172,9 @@ class LayerByLayerScheduler(Scheduler):
             slow memory and deleted, dead or alive — the behaviour implied
             by the paper's measured minimum memory sizes.
             """
-            nonlocal red_weight
             if red_weight + extra <= b:
                 return
-            if self.retention == "eager":
+            if eager:
                 # Pass 1: free victims (no I/O beyond mandatory stores).
                 for v in list(red):
                     if red_weight + extra <= b:
@@ -137,26 +190,20 @@ class LayerByLayerScheduler(Scheduler):
                 if v in pinned:
                     continue
                 if v not in blue:
-                    moves.append(M2(v))
+                    store(v)
                     blue.add(v)
-                elif self.retention == "deferred":
+                elif not eager:
                     # Redundant write-back: the value is already in slow
                     # memory, but the implementation stores it anyway.
-                    moves.append(M2(v))
-                moves.append(M4(v))
-                drop(v)
+                    store(v)
+                delete(v)
             if red_weight + extra > b:
                 raise InfeasibleBudgetError(
                     f"budget {b} too small for layer-by-layer on "
                     f"{cdag.name!r} (needs {red_weight + extra} with pinned "
                     f"nodes only)")
 
-        layer_ids = sorted(layers)
-        ascending = True
-        for pass_no, layer in enumerate(layer_ids[1:], start=1):
-            nodes = sorted(layers[layer])
-            if not ascending:
-                nodes = list(reversed(nodes))
+        for pass_no, nodes in enumerate(passes, start=1):
             for v in nodes:
                 parents = cdag.predecessors(v)
                 pinned = set(parents) | {v}
@@ -165,20 +212,24 @@ class LayerByLayerScheduler(Scheduler):
                         if p not in blue:
                             raise InfeasibleBudgetError(
                                 f"value of {p} lost before computing {v}")
-                        make_room(cdag.weight(p), pinned)
-                        moves.append(M1(p))
-                        place(p)
-                make_room(cdag.weight(v), pinned)
-                moves.append(M3(v))
-                place(v)
+                        make_room(weight[p], pinned)
+                        load(p)
+                make_room(weight[v], pinned)
+                if emit:
+                    emit(M3(v))
+                red[v] = None
+                red_weight += weight[v]
                 for p in parents:
                     remaining[p] -= 1
-                    if remaining[p] == 0:
-                        on_consumed(p, pass_no)
+                    if remaining[p] == 0 and p in red:
+                        if eager:
+                            release(p)
+                        else:
+                            pending_release.append((p, pass_no))
                 if v in sinks:
                     # Outputs are stored and released immediately.
                     release(v)
-            if self.retention == "deferred":
+            if not eager:
                 # Release pebbles consumed during *earlier* passes only;
                 # values consumed this pass survive one more layer.
                 keep: List[tuple] = []
@@ -188,12 +239,22 @@ class LayerByLayerScheduler(Scheduler):
                     elif u in red:
                         keep.append((u, consumed_pass))
                 pending_release = keep
-            ascending = not ascending
 
         # Final cleanup: drop any leftover red pebbles.
         for v in list(red):
             release(v)
-        return Schedule(moves)
+        return cost
+
+
+def _passes(cdag: CDAG) -> tuple:
+    """The walk's visit order: every layer after the first, in layer
+    order, its nodes by index, ascending and descending in turn."""
+    layers = _layers(cdag)
+    passes = []
+    for i, layer in enumerate(sorted(layers)[1:]):
+        nodes = sorted(layers[layer])
+        passes.append(tuple(nodes if i % 2 == 0 else reversed(nodes)))
+    return tuple(passes)
 
 
 def _layers(cdag: CDAG) -> Dict[int, List[Node]]:

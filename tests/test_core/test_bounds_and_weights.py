@@ -72,6 +72,34 @@ class TestBounds:
         g = CDAG([], {"x": 3, "y": 11}, nodes=["x", "y"])
         assert min_feasible_budget(g) == 11
 
+    def test_min_feasible_budget_scans_each_graph_once(self, monkeypatch,
+                                                       diamond):
+        """Prop. 2.3's bound is cached on the immutable graph:
+        require_feasible and with_budget clones reuse it; a with_weights
+        clone has new footprints and scans again."""
+        import repro.core.bounds as bounds
+        scanned = []
+        real = bounds.compute_footprint
+        monkeypatch.setattr(bounds, "compute_footprint",
+                            lambda cdag, v: scanned.append(v)
+                            or real(cdag, v))
+        assert min_feasible_budget(diamond) == 3
+        assert sorted(scanned) == ["c", "d", "e"]
+        assert require_feasible(diamond, 5) == 5
+        with pytest.raises(InfeasibleBudgetError):
+            require_feasible(diamond, 2)
+        assert schedule_exists(diamond, 3)
+        tighter = diamond.with_budget(4)
+        assert min_feasible_budget(tighter) == 3
+        assert require_feasible(tighter) == 4
+        assert len(scanned) == 3
+        heavy = diamond.with_weights({"a": 1, "b": 5, "c": 1, "d": 1,
+                                      "e": 1})
+        assert min_feasible_budget(heavy) == 7
+        assert len(scanned) == 6
+        assert min_feasible_budget(diamond) == 3  # the original keeps its own
+        assert len(scanned) == 6
+
 
 class TestWeightConfigs:
     def test_equal(self):

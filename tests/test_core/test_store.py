@@ -302,6 +302,53 @@ def test_graph_fingerprint_matches_engine_graph_key():
     assert SweepEngine().graph_key(g) == graph_fingerprint(g)
 
 
+def _reference_fingerprint(cdag):
+    """The fingerprint's defining formula, one SHA-1 update per node:
+    the bytes every existing store is keyed by."""
+    import hashlib
+    h = hashlib.sha1()
+    for v in sorted(cdag, key=repr):
+        h.update(repr((v, cdag.weight(v),
+                       sorted(cdag.predecessors(v), key=repr))).encode())
+    return f"{cdag.name}#V{len(cdag)}#{h.hexdigest()[:12]}"
+
+
+def _fingerprint_corpus():
+    from repro.core import CDAG, double_accumulator, equal
+    from repro.graphs import random_layered_dag, random_weighted
+    graphs = [dwt_graph(16, 4, weights=equal(16)),
+              dwt_graph(32, 5, weights=double_accumulator(16)),
+              mvm_graph(4, 5, weights=double_accumulator(16)),
+              mvm_graph(6, 3, weights=equal(16))]
+    for seed in range(3):
+        g = random_layered_dag(4, 5, seed=seed)
+        graphs += [g, random_weighted(g, 1, 9, seed=seed)]
+    # Non-tuple names of mixed types, whose repr order differs from any
+    # natural order, and a non-ASCII name.
+    mixed = {"b": 2, "a": 1, 10: 3, 9: 4, frozenset({1}): 5, "é": 6,
+             "out": 7}
+    graphs.append(CDAG([("b", 10), ("a", 10), (frozenset({1}), 9),
+                        ("a", 9), (10, "é"), (9, "é"), ("é", "out"),
+                        (9, "out")], mixed, name="mixed"))
+    return graphs
+
+
+def test_graph_fingerprint_keeps_the_reference_bytes():
+    for g in _fingerprint_corpus():
+        assert graph_fingerprint(g) == _reference_fingerprint(g), g.name
+
+
+def test_graph_fingerprint_pinned_keys():
+    """Keys of stores written before the one-pass fingerprint still
+    resolve: these two were computed with the reference formula."""
+    from repro.core import double_accumulator, equal
+    assert graph_fingerprint(dwt_graph(16, 4, weights=equal(16))) == \
+        "DWT(16,4)#V46#8538e3f23d1b"
+    assert graph_fingerprint(mvm_graph(4, 5,
+                                       weights=double_accumulator(16))) == \
+        "MVM(4,5)#V61#387680dfbf1a"
+
+
 def test_import_journal_folds_old_journals_read_only(tmp_path):
     from repro.analysis import SweepEngine
     old = tmp_path / "old.json"  # two-field entries, infinity as "inf"

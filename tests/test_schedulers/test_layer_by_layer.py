@@ -1,14 +1,17 @@
 """Tests for the layer-by-layer baseline (paper Sec. 5.1)."""
 
+import math
+
 import pytest
 
-from repro.core import (InfeasibleBudgetError, MoveType,
+from repro.core import (CDAG, InfeasibleBudgetError, MoveType,
                         algorithmic_lower_bound, double_accumulator, equal,
-                        min_feasible_budget, simulate)
+                        min_feasible_budget, require_feasible, simulate)
 from repro.core.exceptions import GraphStructureError
-from repro.graphs import dwt_graph, mvm_graph
+from repro.graphs import (dwt_graph, mvm_graph, random_layered_dag,
+                          random_weighted)
 from repro.schedulers import LayerByLayerScheduler
-from repro.analysis import scheduler_min_memory
+from repro.analysis import log_budget_grid, scheduler_min_memory
 
 EAGER = LayerByLayerScheduler(retention="eager")
 DEFERRED = LayerByLayerScheduler(retention="deferred")
@@ -96,3 +99,83 @@ class TestBehaviour:
         sched = DEFERRED.schedule(g, g.total_weight())
         res = simulate(g, sched, budget=g.total_weight())
         assert res.write_cost == g.total_weight(g.sinks)
+
+
+class TestCountingWalk:
+    """``cost_many`` runs the spill walk without building moves: it must
+    equal ``schedule(g, b).cost(g)`` in value and type, and answer
+    ``math.inf`` exactly where ``schedule`` raises."""
+
+    @staticmethod
+    def _agree(scheduler, g, budgets):
+        got = scheduler.cost_many(g, budgets, memo={})
+        assert len(got) == len(budgets)
+        for b, cost in zip(budgets, got):
+            try:
+                want = scheduler.schedule(g, b).cost(g)
+            except InfeasibleBudgetError:
+                assert cost == math.inf, b
+            else:
+                assert cost == want and type(cost) is type(want), b
+        return got
+
+    @pytest.mark.parametrize("scheduler", [EAGER, DEFERRED],
+                             ids=["eager", "deferred"])
+    @pytest.mark.parametrize("da,words", [(False, 448), (True, 640)])
+    def test_fig5_grid_on_dwt_256_8(self, scheduler, da, words):
+        # fig5.dwt_panel's grid: Prop. 2.3's bound up to 1.3x the deferred
+        # baseline's minimum memory (Table 1: 448 / 640 words).
+        g = dwt_graph(256, 8, weights=double_accumulator(16) if da
+                      else equal(16))
+        lo = min_feasible_budget(g)
+        grid = log_budget_grid(lo, int(words * 16 * 1.3), 20)
+        assert len(grid) == 20
+        got = self._agree(scheduler, g, [lo - 1] + grid)
+        assert got[0] == math.inf
+        assert all(math.isfinite(c) for c in got[1:])
+
+    @pytest.mark.parametrize("scheduler", [EAGER, DEFERRED],
+                             ids=["eager", "deferred"])
+    def test_random_layered_and_mvm(self, scheduler):
+        graphs = [mvm_graph(4, 5, weights=double_accumulator(16))]
+        for seed in range(3):
+            g = random_layered_dag(5, 6, seed=seed)
+            graphs += [g, random_weighted(g, 1, 9, seed=seed)]
+        for g in graphs:
+            lo = min_feasible_budget(g)
+            self._agree(scheduler, g,
+                        [lo - 1] + log_budget_grid(lo, g.total_weight(), 12))
+
+    @pytest.mark.parametrize("scheduler", [EAGER, DEFERRED],
+                             ids=["eager", "deferred"])
+    def test_lost_value_is_infeasible_on_both_paths(self, scheduler):
+        # An edge inside a layer, against the ascending pass: (2, 0) needs
+        # (2, 1) before the walk has computed it.
+        g = CDAG([((1, 0), (2, 0)), ((1, 1), (2, 1)), ((2, 1), (2, 0))],
+                 {(1, 0): 1, (1, 1): 1, (2, 0): 1, (2, 1): 1}, name="back")
+        with pytest.raises(InfeasibleBudgetError, match="lost"):
+            scheduler.schedule(g, 8)
+        assert self._agree(scheduler, g, [2, 3, 8]) == [math.inf] * 3
+
+    def test_non_layered_names_still_rejected(self, diamond):
+        assert DEFERRED.cost_many(diamond, [2]) == [math.inf]
+        with pytest.raises(GraphStructureError, match="layer"):
+            DEFERRED.cost_many(diamond, [3])
+
+    def test_one_bound_scan_per_graph(self, monkeypatch):
+        import repro.core.bounds as bounds
+        scanned = []
+        real = bounds.compute_footprint
+        monkeypatch.setattr(bounds, "compute_footprint",
+                            lambda cdag, v: scanned.append(v)
+                            or real(cdag, v))
+        g = dwt_graph(16, 4, weights=equal())
+        budgets = [16, 64, 256, 1024]
+        memo = {}
+        first = DEFERRED.cost_many(g, budgets, memo=memo)
+        assert len(scanned) == sum(1 for v in g if g.predecessors(v))
+        assert DEFERRED.cost_many(g, budgets, memo=memo) == first
+        EAGER.cost_many(g, budgets)
+        require_feasible(g, 1024)
+        DEFERRED.schedule(g, 1024)
+        assert len(scanned) == sum(1 for v in g if g.predecessors(v))
