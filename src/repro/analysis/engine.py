@@ -615,7 +615,7 @@ class SweepEngine:
             self.auditor.governed = True
         self.fallback = fallback
         self._fns: Dict[Tuple, CachedCostFn] = {}
-        # id(cdag) -> (cdag, lower bound, min budget, total weight, gcd step)
+        # id(cdag) -> (cdag, lower bound, total weight, gcd step)
         self._bounds: Dict[int, Tuple] = {}
         # id(cdag) -> (cdag, stable content key) for persisted probes
         self._graph_keys: Dict[int, Tuple[CDAG, str]] = {}
@@ -823,14 +823,14 @@ class SweepEngine:
     # Min-memory searches (Fig. 6 / Table 1)
 
     def _graph_bounds(self, cdag: CDAG) -> Tuple:
-        """Per-graph search constants (lower bound, min budget, total
-        weight, gcd step), computed once per graph the engine has seen.
-        The entry pins the graph, so the id-key can never be recycled."""
+        """Per-graph search constants (lower bound, total weight, gcd
+        step), computed once per graph the engine has seen; Prop. 2.3's
+        bound is cached on the graph itself.  The entry pins the graph,
+        so the id-key can never be recycled."""
         key = id(cdag)
         entry = self._bounds.get(key)
         if entry is None or entry[0] is not cdag:
-            entry = (cdag, algorithmic_lower_bound(cdag),
-                     min_feasible_budget(cdag), cdag.total_weight(),
+            entry = (cdag, algorithmic_lower_bound(cdag), cdag.total_weight(),
                      math.gcd(*cdag.weights.values()) if len(cdag) else 1)
             self._bounds[key] = entry
         return entry
@@ -843,7 +843,8 @@ class SweepEngine:
         ``hint`` warm-starts the boundary bracketing (see
         :func:`minimum_fast_memory`); results are identical either way.
         """
-        _, target, lo, total, gcd_step = self._graph_bounds(cdag)
+        _, target, total, gcd_step = self._graph_bounds(cdag)
+        lo = min_feasible_budget(cdag)
         if hi is None:
             hi = total
         if step is None:

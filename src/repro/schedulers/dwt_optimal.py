@@ -120,13 +120,13 @@ class OptimalDWTScheduler(Scheduler):
             state["pruned"] = dwt_mod.prune(cdag)
             state["pruned_store"] = sum(
                 cdag.weight(u) for u in dwt_mod.pruned_nodes(cdag))
-            state["need"] = min_feasible_budget(cdag)
             state["dp"] = {}
         pruned, dp = state["pruned"], state["dp"]
+        need = min_feasible_budget(cdag)
         out = []
         for budget in budgets:
             b = cdag.budget if budget is None else budget
-            if b is None or b < state["need"]:
+            if b is None or b < need:
                 out.append(_INF)
                 continue
             total = state["pruned_store"]

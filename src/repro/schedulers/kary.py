@@ -104,15 +104,15 @@ class OptimalTreeScheduler(Scheduler):
             self._check_tree(cdag)
             state.clear()
             state["graph"] = cdag
-            state["need"] = min_feasible_budget(cdag)
             state["dp"] = {}
         dp = state["dp"]
         (root,) = cdag.sinks
         w_root = cdag.weight(root)
+        need = min_feasible_budget(cdag)
         out = []
         for budget in budgets:
             b = cdag.budget if budget is None else budget
-            if b is None or b < state["need"]:
+            if b is None or b < need:
                 out.append(_INF)
                 continue
             c = self._min_cost(cdag, root, b, dp)

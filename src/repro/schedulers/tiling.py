@@ -214,9 +214,9 @@ class TilingMVMScheduler(Scheduler):
     def cost_many(self, cdag: CDAG, budgets, *, memo=None):
         """Batched :meth:`cost`.
 
-        The memo holds what the graph contributes, its class weights and
-        Prop. 2.3's existence bound, each read once per graph; every
-        budget is then one closed-form plan, with no pass over the
+        The memo holds the graph's class weights, read once per graph,
+        and Prop. 2.3's existence bound is cached on the graph itself;
+        every budget is then one closed-form plan, with no pass over the
         graph."""
         state = memo if memo is not None else {}
         if state.get("graph") is not cdag:
@@ -224,12 +224,12 @@ class TilingMVMScheduler(Scheduler):
             state.clear()
             state["graph"] = cdag
             state["weights"] = weights
-            state["need"] = min_feasible_budget(cdag)
         w_in, w_acc = state["weights"]
+        need = min_feasible_budget(cdag)
         out = []
         for budget in budgets:
             b = cdag.budget if budget is None else budget
-            if b is None or b < state["need"]:
+            if b is None or b < need:
                 out.append(_INF)
                 continue
             try:
