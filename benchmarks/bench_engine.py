@@ -16,8 +16,8 @@ The headline measurement reruns the Fig. 6 DWT(n, d*) panel at
 
 Both paths run the same cost functions (the Eq. 2 DP and the
 layer-by-layer spill walk) with a memo shared across each search's
-probes.  Both also build, prune and bound the same 128 graphs, and only
-the engine fingerprints them.  The ratio is therefore the evaluations
+probes.  Both also build and bound the same 128 graphs, and only the
+engine fingerprints them.  The ratio is therefore the evaluations
 the engine saves, diluted by that per-graph work: the cheaper the cost
 functions, the larger the share of the engine's time the per-graph
 work takes, and the lower the ratio.

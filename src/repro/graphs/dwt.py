@@ -158,6 +158,15 @@ def pruned_nodes(cdag: CDAG) -> List[DWTNode]:
     return [v for v in cdag if is_coefficient(v)]
 
 
+def pruned_roots(cdag: CDAG) -> Tuple[DWTNode, ...]:
+    """The roots (sinks) of :func:`prune`'s in-trees, read off ``cdag``
+    without building the pruned graph: the averages among the sinks, in
+    ``cdag``'s topological order.  Every average below the last layer
+    feeds the next layer's average, and every input feeds a layer-2
+    average, so pruning leaves exactly these nodes without successors."""
+    return tuple(v for v in cdag.sinks if is_average(v))
+
+
 def prune(cdag: CDAG) -> CDAG:
     """The pruned graph ``G'`` of Lemma 3.2 (even-index nodes and their
     incident edges removed).  Each weakly connected component of the result
