@@ -30,15 +30,26 @@ The strategy (Sec. 3.1.2-3.1.3):
    stored, and deleted — ``(M3(u), M2(u), M4(u))`` — at no extra cost beyond
    the mandatory output store ``w_u``.
 
+``P(v, b)`` depends only on the weighted pruned in-tree above ``v``, and
+the four-strategy minimum is symmetric in ``p1``/``p2``.  So the cost DP
+interns each kept node, in topological order, as its *shape*: its weight
+and the sorted pair of its parents' shape ids.  The table is keyed
+``(shape id, residual budget)`` and the roots are summed by shape with
+their multiplicity: O(#distinct weighted shapes · #distinct residual
+budgets) entries instead of Thm. 3.5's O(|V| · budgets), and ``d+1``
+shapes for ``DWT(n, d)`` under the paper's Equal and Double Accumulator
+weights.  The schedule DP (PebbleTree) stays keyed by node, because its
+moves name nodes.
+
 The generated schedules replay cleanly through the strict simulator and are
 certified optimal against the exhaustive solver on small instances (see
-tests).  Runtime is polynomial: O(|V| · #distinct residual budgets) memo
-entries (Thm. 3.5).
+tests).  Runtime is polynomial (Thm. 3.5).
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import Dict, Optional, Tuple
 
 from ..core.bounds import min_feasible_budget, require_feasible
@@ -92,41 +103,38 @@ class OptimalDWTScheduler(Scheduler):
 
     def cost(self, cdag: CDAG, budget: Optional[int] = None) -> int:
         """Minimum weighted schedule cost via Lemma 3.4 (cost-only DP —
-        no schedule materialization; used by sweeps and min-memory search)."""
+        no schedule materialization; used by sweeps and min-memory search):
+        :meth:`cost_many` at one budget on a fresh memo."""
         b = require_feasible(cdag, budget)
-        dwt_mod.check_prunable_weights(cdag)
-        memo: Dict[Tuple, float] = {}
-        total = 0
-        # Stores of the pruned coefficients (first term of Eq. 5).
-        total += sum(cdag.weight(u) for u in dwt_mod.pruned_nodes(cdag))
-        for root in dwt_mod.pruned_roots(cdag):
-            c = self._min_cost(cdag, root, b, memo)
-            if c is _INF:
-                raise InfeasibleBudgetError(
-                    f"budget {b} infeasible for tree rooted at {root}")
-            total += c + cdag.weight(root)  # + final output store
-        return int(total)
+        total = self.cost_many(cdag, (b,))[0]
+        if total is _INF:
+            raise InfeasibleBudgetError(
+                f"budget {b} infeasible for {cdag.name}")
+        return total
 
     def cost_many(self, cdag: CDAG, budgets, *, memo=None):
-        """Batched :meth:`cost` sharing one DP memo across all budgets.
+        """Batched :meth:`cost` sharing one DP table across all budgets.
 
-        The Eq. 2 memo is keyed ``(node, residual budget)`` and independent
-        of the query budget, so probes from a budget grid and a binary
-        search can all reuse each other's subproblems.  Passing the same
+        The Eq. 2 table is keyed ``(shape id, residual budget)`` and
+        independent of the query budget, so probes from a budget grid and
+        a binary search can all reuse each other's subproblems, and
+        isomorphic weighted subtrees share them too.  Passing the same
         ``memo`` mapping again extends the reuse across calls.  Besides
-        the DP table it keeps the graph, the pruned trees' roots and the
-        pruned coefficients' store weight: no copy of the graph.
+        the DP table it keeps the graph, the interned shapes (a list),
+        the pruned trees' roots as (shape id, multiplicity) pairs and the
+        pruned coefficients' store weight: no copy of the graph and no
+        node in a key.
         """
         state = memo if memo is not None else {}
         if state.get("graph") is not cdag:
             dwt_mod.check_prunable_weights(cdag)
             state.clear()
             state["graph"] = cdag
-            state["roots"] = dwt_mod.pruned_roots(cdag)
+            state["shapes"], state["roots"] = self._intern_shapes(cdag)
             state["pruned_store"] = sum(
                 cdag.weight(u) for u in dwt_mod.pruned_nodes(cdag))
             state["dp"] = {}
-        roots, dp = state["roots"], state["dp"]
+        shapes, roots, dp = state["shapes"], state["roots"], state["dp"]
         need = min_feasible_budget(cdag)
         out = []
         for budget in budgets:
@@ -135,62 +143,85 @@ class OptimalDWTScheduler(Scheduler):
                 out.append(_INF)
                 continue
             total = state["pruned_store"]
-            for root in roots:
-                c = self._min_cost(cdag, root, b, dp)
+            for shape, count in roots:
+                c = self._shape_cost(shapes, shape, b, dp)
                 if c is _INF:
                     total = _INF
                     break
-                total += c + cdag.weight(root)
+                total += count * (c + shapes[shape][0])  # + output stores
             out.append(total if total is _INF else int(total))
         return out
 
     # ------------------------------------------------------------------ #
-    # Cost-only DP (Eq. 2) over the pruned tree below ``v``: read from the
+    # Cost-only DP (Eq. 2) over weighted subtree shapes, read from the
     # input graph, where a kept node has the same parents and weight.
 
-    def _min_cost(self, cdag: CDAG, v, b: int, memo) -> float:
+    @staticmethod
+    def _intern_shapes(cdag: CDAG):
+        """Shape ids of the nodes Lemma 3.2 keeps, in topological order.
+
+        Returns ``(shapes, roots)``: ``shapes[s]`` is ``(weight,)`` for a
+        leaf and ``(weight, s1, s2)`` with ``s1 <= s2`` for an inner node,
+        and ``roots`` pairs each root shape with how many roots have it."""
+        index: dict = {}
+        shapes = []
+        shape_of = {}
+        for v in cdag.topological_order():
+            if dwt_mod.is_coefficient(v):
+                continue
+            key = (cdag.weight(v),) + tuple(
+                sorted(shape_of[p] for p in cdag.predecessors(v)))
+            s = index.get(key)
+            if s is None:
+                s = index[key] = len(shapes)
+                shapes.append(key)
+            shape_of[v] = s
+        roots = Counter(shape_of[r] for r in dwt_mod.pruned_roots(cdag))
+        return shapes, tuple(roots.items())
+
+    @staticmethod
+    def _shape_cost(shapes, s: int, b: int, dp) -> float:
         # Explicit-stack post-order evaluation: deep trees (e.g. long
         # chains after degenerate pruning) must not hit Python's recursion
         # limit.  A frame stays on the stack until its four subproblems
         # are memoized, then combines them.
-        root_key = (v, b)
-        if root_key in memo:
-            return memo[root_key]
+        root_key = (s, b)
+        if root_key in dp:
+            return dp[root_key]
         token = current_token()
         stack = [root_key]
         while stack:
             if token is not None:
                 token.raise_if_cancelled("DWT cost DP")
             key = stack[-1]
-            if key in memo:
+            if key in dp:
                 stack.pop()
                 continue
-            node, bud = key
-            parents = cdag.predecessors(node)
-            if not parents:
-                memo[key] = cdag.weight(node)
+            shape, bud = key
+            if len(shapes[shape]) == 1:  # a leaf: load it
+                dp[key] = shapes[shape][0]
                 stack.pop()
                 continue
-            p1, p2 = parents
-            w1, w2 = cdag.weight(p1), cdag.weight(p2)
-            if cdag.weight(node) + w1 + w2 > bud:
-                memo[key] = _INF
+            w, s1, s2 = shapes[shape]
+            w1, w2 = shapes[s1][0], shapes[s2][0]
+            if w + w1 + w2 > bud:
+                dp[key] = _INF
                 stack.pop()
                 continue
-            child_keys = ((p1, bud), (p2, bud), (p2, bud - w1), (p1, bud - w2))
-            missing = [ck for ck in child_keys if ck not in memo]
+            child_keys = ((s1, bud), (s2, bud), (s2, bud - w1), (s1, bud - w2))
+            missing = [ck for ck in child_keys if ck not in dp]
             if missing:
                 stack.extend(missing)
                 continue
-            c1b, c2b = memo[(p1, bud)], memo[(p2, bud)]
-            memo[key] = min(
+            c1b, c2b = dp[(s1, bud)], dp[(s2, bud)]
+            dp[key] = min(
                 c1b + c2b + 2 * w1,              # spill p1
-                c1b + memo[(p2, bud - w1)],      # hold  p1
+                c1b + dp[(s2, bud - w1)],        # hold  p1
                 c2b + c1b + 2 * w2,              # spill p2
-                c2b + memo[(p1, bud - w2)],      # hold  p2
+                c2b + dp[(s1, bud - w2)],        # hold  p2
             )
             stack.pop()
-        return memo[root_key]
+        return dp[root_key]
 
     # ------------------------------------------------------------------ #
     # Schedule-producing DP (PebbleTree of Alg. 1).
@@ -203,7 +234,7 @@ class OptimalDWTScheduler(Scheduler):
     # cost, a constant offset identical across the four strategies).
 
     def _pebble_tree(self, cdag: CDAG, v, b: int, memo):
-        # Same explicit-stack shape as _min_cost: deep pruned trees must
+        # Same explicit-stack shape as _shape_cost: deep pruned trees must
         # not recurse.  Frames wait for their four subschedules, then pick
         # the cheapest of the four Lemma 3.3 strategies.
         root_key = (v, b)

@@ -27,7 +27,7 @@ NAMES = ("table1", "fig5", "fig6", "fig7", "fig8")
 #: The default run's engine counters: cost probes, cache hits,
 #: evaluations and the peak cache + DP-memo size.
 PROFILE = {"cost probes": 812, "cache hits": 183, "evaluations": 629,
-           "peak memo size": 105880}
+           "peak memo size": 1105}
 
 
 @pytest.fixture(scope="module")

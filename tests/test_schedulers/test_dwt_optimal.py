@@ -10,14 +10,17 @@ The central claims verified here:
 """
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis import CachedCostFn
 from repro.core import (CDAG, InfeasibleBudgetError, algorithmic_lower_bound,
                         double_accumulator, equal, min_feasible_budget,
                         simulate)
-from repro.core.exceptions import GraphStructureError
+from repro.core.exceptions import GraphStructureError, ProbeCancelledError
+from repro.core.governor import CancellationToken, governed
 from repro.graphs import dwt as dwt_mod
 from repro.graphs import dwt_graph, max_level
 from repro.schedulers import (ExhaustiveScheduler, OptimalDWTScheduler,
@@ -130,10 +133,33 @@ SMALL_DWTS = [(n, d) for n in range(2, 65, 2)
               for d in range(1, max_level(n) + 1)]
 
 
+def _node_cost(g, v, b, memo):
+    """Eq. 2 keyed by (node, residual budget): the minimum cost of
+    pebbling the pruned in-tree above ``v`` under budget ``b``, the best
+    of spilling or holding either parent."""
+    key = (v, b)
+    if key not in memo:
+        parents = g.predecessors(v)
+        if not parents:
+            memo[key] = g.weight(v)
+        elif g.weight(v) + sum(g.weight(p) for p in parents) > b:
+            memo[key] = math.inf
+        else:
+            p1, p2 = parents
+            w1, w2 = g.weight(p1), g.weight(p2)
+            c1, c2 = _node_cost(g, p1, b, memo), _node_cost(g, p2, b, memo)
+            memo[key] = min(c1 + c2 + 2 * w1,
+                            c1 + _node_cost(g, p2, b - w1, memo),
+                            c2 + c1 + 2 * w2,
+                            c2 + _node_cost(g, p1, b - w2, memo))
+    return memo[key]
+
+
 def _reference_cost_many(g, budgets):
-    """Alg. 1's cost DP as it ran before it read the input graph: the same
-    recursion over ``dwt_mod.prune(g)``, started from the pruned graph's
-    sinks, with one DP table for every budget."""
+    """Alg. 1's cost DP as it ran before it read the input graph and
+    solved each weighted subtree shape once: Eq. 2 keyed by node over
+    ``dwt_mod.prune(g)``, started from the pruned graph's sinks, with one
+    DP table for every budget."""
     pruned = dwt_mod.prune(g)
     stores = sum(g.weight(u) for u in dwt_mod.pruned_nodes(g))
     need = min_feasible_budget(g)
@@ -145,7 +171,7 @@ def _reference_cost_many(g, budgets):
             continue
         total = stores
         for root in pruned.sinks:
-            c = OPT._min_cost(pruned, root, b, dp)
+            c = _node_cost(pruned, root, b, dp)
             if c is math.inf:
                 total = math.inf
                 break
@@ -154,9 +180,44 @@ def _reference_cost_many(g, budgets):
     return out
 
 
+def _random_prunable(g, rng):
+    """``g`` re-weighted at random (1-8 per kept node) so that Lemma 3.2
+    still holds: each coefficient weighs at most its sibling average."""
+    w = {v: rng.randint(1, 8) for v in g if not dwt_mod.is_coefficient(v)}
+    w.update({v: rng.randint(1, w[dwt_mod.sibling(v)])
+              for v in g if dwt_mod.is_coefficient(v)})
+    return g.with_weights(w)
+
+
+def _grid(g):
+    """Prop. 2.3's bound minus one step up to the total weight."""
+    step = math.gcd(*g.weights.values())
+    need = min_feasible_budget(g)
+    return list(range(need - step, g.total_weight() + 1, step))
+
+
+def _assert_shape_memo(g, memo, budgets, where):
+    """The memo holds the DP table keyed (shape id, residual budget), the
+    interned shapes, the roots by shape and the input graph: no node in a
+    key, no pruned copy, and the engine's memo-entry count sees only the
+    DP table."""
+    shapes = memo["shapes"]
+    assert all(type(s) is int and type(b) is int and 0 <= s < len(shapes)
+               for s, b in memo["dp"]), where
+    assert all(v is g for v in memo.values() if isinstance(v, CDAG)), where
+    assert sum(count for _, count in memo["roots"]) \
+        == len(dwt_mod.pruned_roots(g)), where
+    fn = CachedCostFn(scheduler=OPT, cdag=g)
+    for b in budgets:
+        fn(b)
+    assert fn.memo_entries() == len(budgets) + len(memo["dp"]), where
+
+
 class TestUnprunedGraph:
-    """Alg. 1 reads the DWT graph itself, not a pruned copy: pinned
-    against the old path on every small DWT under three weightings."""
+    """Alg. 1 reads the DWT graph itself, not a pruned copy, and solves
+    Eq. 2 once per weighted subtree shape: pinned against the node-keyed
+    recursion on the pruned graph on every small DWT under three paper
+    weightings and a random prunable one."""
 
     WEIGHTINGS = {"unit": None, "equal": equal(), "da": double_accumulator()}
 
@@ -176,9 +237,7 @@ class TestUnprunedGraph:
                 assert pruned.predecessors(v) == g.predecessors(v), where
                 assert pruned.weight(v) == g.weight(v), where
 
-            step = math.gcd(*g.weights.values())
-            need = min_feasible_budget(g)
-            budgets = list(range(need - step, g.total_weight() + 1, step))
+            budgets = _grid(g)
             memo: dict = {}
             got = OPT.cost_many(g, budgets, memo=memo)
             assert got == _reference_cost_many(g, budgets), where
@@ -190,15 +249,29 @@ class TestUnprunedGraph:
                     + feasible[-1:]:
                 assert OPT.cost(g, b) == c, f"{where} at {b}"
 
-            # The memo holds the DP table, the input graph and the roots
-            # (in a sequence, so the engine's memo-entry count sees only
-            # the table): no pruned copy.
-            assert [k for k, v in memo.items() if isinstance(v, dict)] \
-                == ["dp"], where
-            assert all(v is g for v in memo.values()
-                       if isinstance(v, CDAG)), where
-            assert isinstance(memo["roots"], (tuple, list)), where
-            assert set(memo["roots"]) == set(pruned.sinks), where
+            # Every layer is one shape, and all n / 2^d roots share the
+            # last one.
+            assert len(memo["shapes"]) == d + 1, where
+            assert memo["roots"] == ((d, n >> d),), where
+            _assert_shape_memo(g, memo, budgets, where)
+
+    def test_matches_the_pruned_recursion_random_weights(self):
+        rng = random.Random(24)
+        for n, d in SMALL_DWTS:
+            if n > 32:
+                continue
+            g = _random_prunable(dwt_graph(n, d), rng)
+            where = f"DWT({n},{d}) random"
+            budgets = _grid(g)
+            memo: dict = {}
+            got = OPT.cost_many(g, budgets, memo=memo)
+            assert got == _reference_cost_many(g, budgets), where
+            feasible = list(zip(budgets, got))[1:]
+            for b, c in feasible[::max(1, (len(feasible) - 1) // 3)]:
+                assert OPT.cost(g, b) == c, f"{where} at {b}"
+            if n >= 8:  # distinct weights split the layers into shapes
+                assert len(memo["shapes"]) > d + 1, where
+            _assert_shape_memo(g, memo, budgets, where)
 
     @pytest.mark.parametrize("n,d", [(2, 1), (8, 3), (24, 3), (64, 6)])
     @pytest.mark.parametrize("weighting", sorted(WEIGHTINGS))
@@ -218,3 +291,13 @@ class TestUnprunedGraph:
         b = min_feasible_budget(g)
         assert OPT.cost_many(g, [b]) == [OPT.cost(g, b)]
         OPT.schedule(g, b)
+
+    def test_dp_polls_the_cancellation_token(self):
+        g = dwt_graph(16, 4, weights=equal())
+        token = CancellationToken()
+        token.cancel("test")
+        with governed(token), pytest.raises(ProbeCancelledError):
+            OPT.cost_many(g, [min_feasible_budget(g)])
+        # Uncancelled, the same probe answers.
+        assert OPT.cost_many(g, [min_feasible_budget(g)]) \
+            == [OPT.cost(g, min_feasible_budget(g))]
